@@ -42,6 +42,7 @@ class CoherenceScenario:
             raise ValueError("sigma_range must be non-negative")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        rand.check_seed(self.seed)
 
     def sigma_phi(self) -> float:
         return range_to_phase_error(self.sigma_range_m, self.f_action_hz)
@@ -87,19 +88,15 @@ def analytic_gain_fraction(n_nodes: int, sigma_phi: float) -> float:
 
 
 def gain_fractions(scenario: CoherenceScenario, workers: int = 1) -> np.ndarray:
-    """Per-trial gain fractions, deterministic in (seed, trial index)."""
+    """Per-trial gain fractions, deterministic in the seed (see :mod:`rangekit.rand`)."""
     n = scenario.n_nodes
     sigma = scenario.sigma_phi()
 
-    def run_chunk(chunk: range) -> np.ndarray:
-        out = np.empty(len(chunk))
-        for row, trial in enumerate(chunk):
-            rng = rand.trial_generator(scenario.seed, trial)
-            phi = rng.standard_normal(n) * sigma
-            out[row] = np.abs(np.sum(np.exp(1j * phi))) ** 2 / n**2
-        return out
+    def run_block(block: range) -> np.ndarray:
+        phi = rand.trial_generator(scenario.seed, block.start).standard_normal((len(block), n))
+        return np.abs(np.sum(np.exp(1j * sigma * phi), axis=1)) ** 2 / n**2
 
-    return rand.run_trials(run_chunk, scenario.trials, workers)
+    return rand.run_trials(run_block, scenario.trials, workers)
 
 
 def coherent_gain(scenario: CoherenceScenario, workers: int = 1) -> CoherentGainReport:

@@ -17,12 +17,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from . import __version__, beamform, fileio, geometry
 from .antenna_metrics import find_bands, gain_beam_stats, load_touchstone
 from .phase_center import displacement_series, displacement_stats
-from .ranging import RangingScenario, crlb_result, monte_carlo
+from .ranging import RangingScenario, crlb_result, delay_to_range, monte_carlo
 from .waveform import (
     SpectrumModel,
     ToneSet,
@@ -150,7 +149,6 @@ def _cmd_range_sim(args) -> int:
     trials = args.trials if args.trials is not None else config.ranging.trials
     report = monte_carlo(scenario, trials, workers=args.workers)
     bound = crlb_result(scenario.zeta_f2(), scenario.snr_db, scenario.two_way)
-    scale = 0.5 if scenario.two_way else 1.0
     doc = {
         "scenario": {
             "tone_frequencies_hz": [float(f) for f in scenario.tones.frequencies],
@@ -165,7 +163,7 @@ def _cmd_range_sim(args) -> int:
         },
         "crlb": fileio.report_dict(bound),
         "monte_carlo": fileio.report_dict(report),
-        "mc_rmse_range_m": report.rmse_tau * SPEED_OF_LIGHT * scale,
+        "mc_rmse_range_m": delay_to_range(report.rmse_tau, scenario.two_way),
     }
     out = _resolve_out(args.out, config)
     if out is not None:
@@ -365,13 +363,12 @@ def _cmd_sweep(args) -> int:
             )
             report = monte_carlo(scenario, args.trials, workers=args.workers)
             bound = crlb_result(scenario.zeta_f2(), scenario.snr_db, scenario.two_way)
-            scale = 0.5 if args.two_way else 1.0
             points.append(
                 fileio.SweepPoint(
                     delta_f_hz=float(sep),
                     snr_db=float(snr),
                     crlb_std_range_m=bound.std_range,
-                    mc_rmse_range_m=report.rmse_tau * SPEED_OF_LIGHT * scale,
+                    mc_rmse_range_m=delay_to_range(report.rmse_tau, args.two_way),
                     crlb_ratio=report.crlb_ratio,
                     failures=report.failures,
                 )

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, rand
 from .antenna_metrics import BandMetrics
 from .phase_center import FarFieldCut, DisplacementSeries
 from .ranging import RangingScenario
@@ -328,7 +328,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                 merged[key] = tuple(merged[key])
         sections[name] = cls(**merged)
     return ScenarioConfig(
-        seed=int(top["seed"]),
+        seed=rand.check_seed(top["seed"]),
         output_dir=str(top["output_dir"]),
         waveform=sections["waveform"],
         ranging=sections["ranging"],

@@ -1,10 +1,10 @@
 """Deterministic, partition-independent Monte Carlo trial streams.
 
-Every trial draws its noise from a counter-based Philox generator keyed by
-(master seed, trial index), so the noise for trial ``i`` is the same no
-matter which worker runs it or in what order.  Aggregates are computed from
-per-trial arrays assembled in trial-index order, which makes reports
-bit-identical for any partitioning of the trials across workers.
+Trials run in fixed blocks of ``BLOCK_TRIALS``, each drawing its noise in
+bulk, in row-major trial order, from one counter-based Philox generator keyed
+by (master seed, block start).  Workers run whole blocks and results are
+assembled in trial-index order, so reports are bit-identical for any worker
+count, and a partial last block draws a prefix of the full block's stream.
 """
 
 from __future__ import annotations
@@ -13,33 +13,44 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+BLOCK_TRIALS = 512  # trials per generator key; also bounds each block's memory
+
+
+def check_seed(seed) -> int:
+    """Return ``seed`` if it is an integer in [0, 2**64); raise ValueError otherwise."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
 
 def trial_generator(seed: int, trial_index: int) -> np.random.Generator:
-    """Independent generator for one trial, keyed by (seed, trial_index)."""
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), trial_index]))
+    """Generator for the block of trials starting at ``trial_index``, keyed by (seed, trial_index)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial_index], dtype=np.uint64)))
 
 
 def partition(trials: int, workers: int) -> list[range]:
-    """Split range(trials) into <= workers contiguous chunks."""
+    """Split range(trials) into <= workers contiguous, block-aligned chunks."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    workers = min(workers, trials)
-    bounds = np.linspace(0, trials, workers + 1).astype(int)
-    return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    n_blocks = -(-trials // BLOCK_TRIALS)
+    workers = min(workers, n_blocks)
+    bounds = [min(trials, (i * n_blocks // workers) * BLOCK_TRIALS) for i in range(workers + 1)]
+    return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def run_trials(chunk_fn, trials: int, workers: int = 1) -> np.ndarray:
-    """Run ``chunk_fn(range)`` over a partition of trial indices.
+    """Call ``chunk_fn(block)`` once per block of trial indices, each worker
+    running one contiguous run of blocks, and concatenate the returned arrays
+    (leading axis = the block's trials) in index order."""
 
-    ``chunk_fn`` must return an ndarray whose leading axis follows the chunk
-    order; chunks are concatenated back in index order, so the result is
-    independent of the worker count.
-    """
+    def run_chunk(chunk: range) -> np.ndarray:
+        starts = range(chunk.start, chunk.stop, BLOCK_TRIALS)
+        return np.concatenate([chunk_fn(range(s, min(s + BLOCK_TRIALS, chunk.stop))) for s in starts])
+
     chunks = partition(trials, workers)
-    if len(chunks) == 1:
-        return np.asarray(chunk_fn(chunks[0]))
+    if len(chunks) == 1:  # stay in this thread: a fresh thread's malloc arena inflates peak RSS
+        return run_chunk(chunks[0])
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(chunk_fn, chunks))
-    return np.concatenate([np.asarray(p) for p in parts], axis=0)
+        return np.concatenate(list(pool.map(run_chunk, chunks)))

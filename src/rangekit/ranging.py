@@ -44,8 +44,6 @@ from .waveform import (
     synth_two_tone,
 )
 
-_BATCH_TRIALS = 512  # caps the per-batch noise block at a few tens of MB
-
 
 @dataclass(frozen=True)
 class RangingScenario:
@@ -65,6 +63,7 @@ class RangingScenario:
             raise ValueError("sample_rate violates Nyquist for the tone set")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
+        rand.check_seed(self.seed)
         window = self.ambiguity_window()
         if not (0.0 <= self.true_delay < window):
             raise ValueError(
@@ -115,17 +114,20 @@ def crlb_toa(zeta_f2: float, snr_db: float) -> float:
     return 1.0 / (2.0 * snr_lin * zeta_f2)
 
 
-def crlb_range(var_tau: float, two_way: bool) -> float:
-    """Convert a delay variance to a one-sigma range accuracy in meters.
+def delay_to_range(delay: float, two_way: bool) -> float:
+    """Convert a delay (or delay error) in seconds to a range in meters.
 
     Two-way (reflected) measurements traverse the path twice, so the range
-    error is half the delay error times c.
+    is half the delay times c.
     """
+    return float(SPEED_OF_LIGHT * delay * (0.5 if two_way else 1.0))
+
+
+def crlb_range(var_tau: float, two_way: bool) -> float:
+    """Convert a delay variance to a one-sigma range accuracy in meters."""
     if var_tau < 0:
         raise ValueError("var_tau must be non-negative")
-    std_tau = np.sqrt(var_tau)
-    scale = 0.5 if two_way else 1.0
-    return float(SPEED_OF_LIGHT * std_tau * scale)
+    return delay_to_range(np.sqrt(var_tau), two_way)
 
 
 def crlb_result(zeta_f2: float, snr_db: float, two_way: bool) -> CrlbResult:
@@ -235,8 +237,9 @@ def monte_carlo(scenario: RangingScenario, trials: int, workers: int = 1) -> Mon
     Each trial adds independent complex white Gaussian noise (scaled per the
     module SNR convention) to the delayed template and estimates the delay.
     Trials whose error exceeds half the ambiguity spacing are counted as
-    failures and excluded from the RMSE.  Per-trial noise is keyed by
-    (scenario.seed, trial index), so the report is bit-identical for any
+    failures and excluded from the RMSE.  Noise is drawn per block of
+    :data:`rand.BLOCK_TRIALS` trials from a generator keyed by
+    (scenario.seed, block start), so the report is bit-identical for any
     worker count.
     """
     if trials < 1:
@@ -246,29 +249,19 @@ def monte_carlo(scenario: RangingScenario, trials: int, workers: int = 1) -> Mon
     tmpl_conj_fft = np.conj(np.fft.fft(template.samples))
     n = len(template)
     fs = scenario.sample_rate
-    sigma = _noise_sigma(scenario.snr_db, fs)
     window = (0.0, scenario.ambiguity_window())
     idx = _window_indices(n, fs, window)
+    scale = _noise_sigma(scenario.snr_db, fs) / np.sqrt(2.0)
 
-    scale = sigma / np.sqrt(2.0)
+    def run_block(block: range) -> np.ndarray:
+        rng = rand.trial_generator(scenario.seed, block.start)
+        rx = np.empty((len(block), n), dtype=complex)
+        rng.standard_normal(out=rx.view(float))
+        rx *= scale
+        rx += rx_clean
+        return _refine_peaks(_correlate(rx, tmpl_conj_fft), idx, fs)
 
-    def run_chunk(chunk: range) -> np.ndarray:
-        # sub-batch to keep the (batch, n) noise block small
-        out = np.empty(len(chunk))
-        pos = 0
-        for start in range(chunk.start, chunk.stop, _BATCH_TRIALS):
-            batch = range(start, min(start + _BATCH_TRIALS, chunk.stop))
-            block = np.empty((len(batch), n), dtype=complex)
-            for row, trial in enumerate(batch):
-                rng = rand.trial_generator(scenario.seed, trial)
-                noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                block[row] = rx_clean + noise * scale
-            env = _correlate(block, tmpl_conj_fft)
-            out[pos : pos + len(batch)] = _refine_peaks(env, idx, fs)
-            pos += len(batch)
-        return out
-
-    tau_hat = rand.run_trials(run_chunk, trials, workers)
+    tau_hat = rand.run_trials(run_block, trials, workers)
     err = tau_hat - scenario.true_delay
     sep = scenario.tones.separation
     fail_threshold = 0.5 / sep if sep > 0 else np.inf

@@ -89,10 +89,15 @@ def test_mean_gain_decreases_with_sigma():
 
 
 def test_workers_do_not_change_results():
-    scen = CoherenceScenario(6, F_ACTION, sigma_range_for(0.7), trials=999, seed=5)
-    base = gain_fractions(scen, workers=1)
-    for workers in (2, 8):
-        assert np.array_equal(gain_fractions(scen, workers=workers), base)
+    longest = gain_fractions(CoherenceScenario(6, F_ACTION, sigma_range_for(0.7), trials=3000, seed=5))
+    # block edges, and a run of more than five blocks
+    for trials in (1, 511, 512, 513, 999, 3000):
+        scen = CoherenceScenario(6, F_ACTION, sigma_range_for(0.7), trials=trials, seed=5)
+        base = gain_fractions(scen, workers=1)
+        # a run's first trials do not depend on the total trial count
+        assert np.array_equal(base, longest[:trials])
+        for workers in (2, 3, 8):
+            assert np.array_equal(gain_fractions(scen, workers=workers), base)
 
 
 def test_scenario_validation():
@@ -104,6 +109,9 @@ def test_scenario_validation():
         CoherenceScenario(4, F_ACTION, -0.01, trials=10)
     with pytest.raises(ValueError):
         CoherenceScenario(4, F_ACTION, 0.01, trials=0)
+    for seed in (-1, 2**64, 2.7, True):
+        with pytest.raises(ValueError, match="seed"):
+            CoherenceScenario(4, F_ACTION, 0.01, trials=10, seed=seed)
 
 
 def test_report_validation():

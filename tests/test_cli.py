@@ -139,6 +139,15 @@ def test_range_sim_trial_override(tmp_path, capsys):
     assert doc["monte_carlo"]["trials"] == 30
 
 
+def test_out_of_range_seed_exits_1(tmp_path, capsys):
+    scen = scenario_file(tmp_path, trials=10)
+    for seed in ("-1", str(2**64)):
+        assert dispatch(["range-sim", "-q", "--scenario", str(scen), "--seed", seed]) == 1
+        assert "seed" in capsys.readouterr().err
+    assert dispatch(["coherence", "-q", "--scenario", str(scen), "--seed", "-1"]) == 1
+    assert "seed" in capsys.readouterr().err
+
+
 def test_phase_center_end_to_end(tmp_path, capsys):
     cut_a = point_source_cut(0.0, 0.005, 1.88e9, THETA)
     cut_b = point_source_cut(0.0, 0.0, 9.56e9, THETA)

@@ -168,6 +168,13 @@ def test_parse_scenario_missing_required():
         parse_scenario(doc)
 
 
+def test_parse_scenario_rejects_bad_seed():
+    assert parse_scenario({"seed": 2**64 - 1}).seed == 2**64 - 1
+    for seed in (2.7, -1, 2**64, True, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            parse_scenario({"seed": seed})
+
+
 def test_waveform_section_exclusive_tone_spec():
     doc = json.loads(json.dumps(SCENARIO_DOC))
     doc["waveform"]["tone_frequencies_hz"] = [-2.5e8, 2.5e8]

@@ -126,6 +126,9 @@ def test_scenario_validation():
         RangingScenario(ToneSet.two_tone(4e9), 16.0, 0.0, True, 4e9, 1e-6)
     with pytest.raises(ValueError):
         RangingScenario(ts, 16.0, 0.0, True, 4e9, 0.0)
+    for seed in (-1, 2**64, 2.7, True):
+        with pytest.raises(ValueError, match="seed"):
+            RangingScenario(ts, 16.0, 0.0, True, 4e9, 1e-6, seed=seed)
 
 
 def test_monte_carlo_noiseless_limit():
@@ -161,8 +164,11 @@ def test_monte_carlo_failures_reported_separately():
 
 
 def test_monte_carlo_deterministic_across_workers():
+    # a 50 ns record keeps the 2600-trial run (over five blocks) fast
     sc = RangingScenario(
-        ToneSet.two_tone(5e8), 25.0, 0.6e-9, True, 4e9, 1e-6, seed=7
+        ToneSet.two_tone(5e8), 25.0, 0.6e-9, True, 4e9, 5e-8, seed=7
     )
-    reports = [monte_carlo(sc, 64, workers=w) for w in (1, 2, 8)]
-    assert reports[0] == reports[1] == reports[2]
+    for trials in (1, 511, 512, 513, 2600):
+        reports = [monte_carlo(sc, trials, workers=w) for w in (1, 2, 3, 8)]
+        assert reports[0].failures == 0
+        assert reports[0] == reports[1] == reports[2] == reports[3]
