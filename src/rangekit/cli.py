@@ -143,12 +143,18 @@ def _cmd_waveform(args) -> int:
     return 0
 
 
+def _run_ranging(scenario, trials, workers):
+    """Monte Carlo report, accuracy bound and Monte Carlo range rmse of one scenario."""
+    report = monte_carlo(scenario, trials, workers=workers)
+    bound = crlb_result(scenario.zeta_f2(), scenario.snr_db, scenario.two_way)
+    return report, bound, delay_to_range(report.rmse_tau, scenario.two_way)
+
+
 def _cmd_range_sim(args) -> int:
     config = fileio.load_scenario(args.scenario)
     scenario = config.ranging_scenario(seed=args.seed)
     trials = args.trials if args.trials is not None else config.ranging.trials
-    report = monte_carlo(scenario, trials, workers=args.workers)
-    bound = crlb_result(scenario.zeta_f2(), scenario.snr_db, scenario.two_way)
+    report, bound, mc_rmse_range_m = _run_ranging(scenario, trials, args.workers)
     doc = {
         "scenario": {
             "tone_frequencies_hz": [float(f) for f in scenario.tones.frequencies],
@@ -163,7 +169,7 @@ def _cmd_range_sim(args) -> int:
         },
         "crlb": fileio.report_dict(bound),
         "monte_carlo": fileio.report_dict(report),
-        "mc_rmse_range_m": delay_to_range(report.rmse_tau, scenario.two_way),
+        "mc_rmse_range_m": mc_rmse_range_m,
     }
     out = _resolve_out(args.out, config)
     if out is not None:
@@ -265,14 +271,15 @@ def _cmd_coherence(args) -> int:
             "(or a --scenario with a beamform section)"
         )
     seed = args.seed if args.seed is not None else (config.seed if config is not None else 0)
-    # a retrodirective (two-way) link doubles the phase error per meter
-    effective_sigma = 2.0 * sigma_range if args.two_way else sigma_range
 
     def report_for(sig):
+        """(sigma_phi, report) for a per-node ranging std ``sig``."""
+        if args.two_way:  # a retrodirective link doubles the phase error per meter
+            sig = 2.0 * sig
         scenario = beamform.CoherenceScenario(
             n_nodes=nodes, f_action_hz=f_action, sigma_range_m=sig, trials=trials, seed=seed
         )
-        return scenario, beamform.coherent_gain(scenario, workers=args.workers)
+        return scenario.sigma_phi(), beamform.coherent_gain(scenario, workers=args.workers)
 
     params = {
         "n_nodes": nodes,
@@ -286,37 +293,16 @@ def _cmd_coherence(args) -> int:
     if args.sigma_grid is not None:
         if args.out is None:
             raise ValueError("--sigma-grid needs --out for the CSV")
-        rows = []
-        for sig in parse_grid(args.sigma_grid):
-            scenario, rep = report_for(2.0 * sig if args.two_way else sig)
-            rows.append((sig, scenario.sigma_phi(), rep))
-        with open(args.out, "w") as fh:
-            fh.write(
-                "sigma_range_m,sigma_phi_rad,mean_gain_fraction,"
-                "analytic_gain_fraction,p_gain_above_90pct\n"
-            )
-            for sig, sigma_phi, rep in rows:
-                fh.write(
-                    ",".join(
-                        fileio.fmt_float(v)
-                        for v in (
-                            sig,
-                            sigma_phi,
-                            rep.mean_gain_fraction,
-                            rep.analytic_gain_fraction,
-                            rep.p_gain_above_90pct,
-                        )
-                    )
-                    + "\n"
-                )
+        rows = [(sig, *report_for(sig)) for sig in parse_grid(args.sigma_grid)]
+        fileio.write_coherence_grid_csv(rows, args.out)
         params["sigma_grid"] = args.sigma_grid
         fileio.write_manifest(Path(args.out), args.argv, params, inputs)
         if not args.quiet:
             print(f"wrote {len(rows)} grid points to {args.out}")
         return 0
-    scenario, rep = report_for(effective_sigma)
+    sigma_phi, rep = report_for(sigma_range)
     doc = dict(params)
-    doc["sigma_phi_rad"] = scenario.sigma_phi()
+    doc["sigma_phi_rad"] = sigma_phi
     doc["report"] = fileio.report_dict(rep)
     if args.out is not None:
         fileio.dump_json(doc, args.out)
@@ -361,14 +347,13 @@ def _cmd_sweep(args) -> int:
                 duration=args.duration,
                 seed=args.seed,
             )
-            report = monte_carlo(scenario, args.trials, workers=args.workers)
-            bound = crlb_result(scenario.zeta_f2(), scenario.snr_db, scenario.two_way)
+            report, bound, mc_rmse_range_m = _run_ranging(scenario, args.trials, args.workers)
             points.append(
                 fileio.SweepPoint(
                     delta_f_hz=float(sep),
                     snr_db=float(snr),
                     crlb_std_range_m=bound.std_range,
-                    mc_rmse_range_m=delay_to_range(report.rmse_tau, args.two_way),
+                    mc_rmse_range_m=mc_rmse_range_m,
                     crlb_ratio=report.crlb_ratio,
                     failures=report.failures,
                 )
@@ -490,10 +475,6 @@ def build_parser() -> _Parser:
 def dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
     parser = build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        print("rangekit: a subcommand is required", file=sys.stderr)
-        return 1
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -511,8 +492,6 @@ def dispatch(argv) -> int:
         print("rangekit: geometry needs an action (validate | reference)", file=sys.stderr)
         return 1
     args.argv = ["rangekit"] + list(argv)
-    if not hasattr(args, "quiet"):
-        args.quiet = False
     try:
         return args.func(args)
     except ValueError as exc:

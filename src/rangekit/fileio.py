@@ -1,13 +1,19 @@
-"""Shared file formats: far-field CSV, spectrum CSV, scenario JSON, manifests.
+"""Shared file formats: far-field and result CSVs, scenario JSON, manifests.
 
-All numeric output uses the shortest decimal representation that
+Every CSV layout goes through one row writer under a header constant
+defined here.  Floats use the shortest decimal representation that
 round-trips to the same float (Python's repr), so golden files are stable
-across platforms and parse back bit-exact.
+across platforms and parse back bit-exact; integer columns are plain.
 
 Far-field CSV layout: header ``theta_deg,phi_deg,frequency_hz,magnitude_db,
-phase_deg``, one cut per (phi, frequency) group of rows, theta strictly
-increasing within a group.  z is the boresight axis and theta is measured
-from z toward x, matching the phase-center sign convention.
+phase_deg``, one cut per (phi, frequency) group of rows that appear
+together, theta strictly increasing within a group, every value finite.
+z is the boresight axis and theta is measured from z toward x, matching
+the phase-center sign convention.
+
+Scenario JSON fields are checked against the config dataclass types:
+booleans must be JSON booleans, integers non-bool integers and floats
+finite numbers; anything else, like an unknown key, raises ValueError.
 """
 
 from __future__ import annotations
@@ -15,14 +21,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, rand
-from .antenna_metrics import BandMetrics
 from .phase_center import FarFieldCut, DisplacementSeries
 from .ranging import RangingScenario
 from .waveform import SpectrumModel, ToneSet
@@ -32,11 +38,23 @@ SPECTRUM_HEADER = "frequency_hz,energy_density"
 DISPLACEMENT_HEADER = "theta_deg,dx0_m,dz0_m"
 BANDS_HEADER = "f_res_hz,s11_min_db,f_low_hz,f_high_hz,fbw"
 SWEEP_HEADER = "delta_f_hz,snr_db,crlb_std_range_m,mc_rmse_range_m,crlb_ratio,failures"
+COHERENCE_GRID_HEADER = (
+    "sigma_range_m,sigma_phi_rad,mean_gain_fraction,analytic_gain_fraction,p_gain_above_90pct"
+)
 
 
 def fmt_float(x) -> str:
     """Shortest decimal string that parses back to exactly x."""
     return repr(float(x))
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and one line per row; ints via str, floats via fmt_float."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            cells = (str(v) if isinstance(v, (int, np.integer)) else fmt_float(v) for v in row)
+            fh.write(",".join(cells) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -50,24 +68,20 @@ def save_farfield_cuts(cuts, path) -> None:
         cuts = [cuts]
     if len(cuts) == 0:
         raise ValueError("no cuts to write")
-    with open(path, "w") as fh:
-        fh.write(FARFIELD_HEADER + "\n")
-        for cut in cuts:
-            for theta, mag, phase in zip(cut.theta_deg, cut.magnitude_db, cut.phase_deg):
-                fh.write(
-                    ",".join(
-                        fmt_float(v)
-                        for v in (theta, cut.phi_cut_deg, cut.frequency_hz, mag, phase)
-                    )
-                    + "\n"
-                )
+    rows = (
+        (theta, cut.phi_cut_deg, cut.frequency_hz, mag, phase)
+        for cut in cuts
+        for theta, mag, phase in zip(cut.theta_deg, cut.magnitude_db, cut.phase_deg)
+    )
+    _write_csv(path, FARFIELD_HEADER, rows)
 
 
 def load_farfield_cuts(path) -> list:
     """Read far-field CSV, one FarFieldCut per (phi, frequency) group.
 
     Rows belonging to one group must appear together and with strictly
-    increasing theta; anything else fails validation.
+    increasing theta, and every value must be finite; anything else fails
+    validation.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -78,13 +92,21 @@ def load_farfield_cuts(path) -> list:
         if [h.strip() for h in header] != FARFIELD_HEADER.split(","):
             raise ValueError(f"unexpected far-field header: {','.join(header)!r}")
         groups = {}
+        last = None
         for row in reader:
             if not row:
                 continue
             if len(row) != 5:
                 raise ValueError(f"far-field row must have 5 columns: {row!r}")
             theta, phi, freq, mag, phase = (float(v) for v in row)
-            groups.setdefault((phi, freq), []).append((theta, mag, phase))
+            if (phi, freq) != last:  # a new group; FarFieldCut checks the other columns
+                if not (math.isfinite(phi) and math.isfinite(freq)):
+                    raise ValueError(f"far-field phi and frequency must be finite: {row!r}")
+                if (phi, freq) in groups:
+                    raise ValueError(f"far-field rows of one group must appear together: {row!r}")
+                last = (phi, freq)
+                group = groups[last] = []
+            group.append((theta, mag, phase))
     if not groups:
         raise ValueError("far-field file contains no data rows")
     cuts = []
@@ -103,41 +125,30 @@ def load_farfield_cuts(path) -> list:
 
 
 # ---------------------------------------------------------------------------
-# plot-data CSV emission
+# result CSVs
 # ---------------------------------------------------------------------------
 
 
 def write_spectrum_csv(spec: SpectrumModel, path) -> None:
     if spec.kind != "discrete":
         raise ValueError("spectrum CSV needs a discrete spectrum (run spectrum_of first)")
-    with open(path, "w") as fh:
-        fh.write(SPECTRUM_HEADER + "\n")
-        for f, d in zip(spec.frequencies, spec.energy_density):
-            fh.write(f"{fmt_float(f)},{fmt_float(d)}\n")
+    _write_csv(path, SPECTRUM_HEADER, zip(spec.frequencies, spec.energy_density))
 
 
 def write_displacement_csv(series: DisplacementSeries, path) -> None:
     if len(series) == 0:
         raise ValueError("empty displacement series")
-    with open(path, "w") as fh:
-        fh.write(DISPLACEMENT_HEADER + "\n")
-        for theta, dx, dz in zip(series.theta_deg, series.dx0_m, series.dz0_m):
-            fh.write(f"{fmt_float(theta)},{fmt_float(dx)},{fmt_float(dz)}\n")
+    _write_csv(path, DISPLACEMENT_HEADER, zip(series.theta_deg, series.dx0_m, series.dz0_m))
 
 
 def write_bands_csv(bands, path) -> None:
     if len(bands) == 0:
         raise ValueError("empty band list")
-    with open(path, "w") as fh:
-        fh.write(BANDS_HEADER + "\n")
-        for b in bands:
-            fh.write(
-                ",".join(
-                    fmt_float(v)
-                    for v in (b.f_resonance_hz, b.s11_min_db, b.f_low_hz, b.f_high_hz, b.fractional_bw)
-                )
-                + "\n"
-            )
+    _write_csv(
+        path,
+        BANDS_HEADER,
+        ((b.f_resonance_hz, b.s11_min_db, b.f_low_hz, b.f_high_hz, b.fractional_bw) for b in bands),
+    )
 
 
 @dataclass(frozen=True)
@@ -155,50 +166,14 @@ class SweepPoint:
 def write_sweep_csv(points, path) -> None:
     if len(points) == 0:
         raise ValueError("empty sweep")
-    with open(path, "w") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        for p in points:
-            fh.write(
-                ",".join(
-                    [
-                        fmt_float(p.delta_f_hz),
-                        fmt_float(p.snr_db),
-                        fmt_float(p.crlb_std_range_m),
-                        fmt_float(p.mc_rmse_range_m),
-                        fmt_float(p.crlb_ratio),
-                        str(int(p.failures)),
-                    ]
-                )
-                + "\n"
-            )
+    _write_csv(path, SWEEP_HEADER, (astuple(p) for p in points))
 
 
-def emit_plot_data(series, path) -> None:
-    """Write any supported result series as a plotting CSV.
-
-    Dispatches on type: displacement series, band-metrics lists, discrete
-    spectra, far-field cuts and sweep points all have fixed headers
-    documented in this module.
-    """
-    if isinstance(series, DisplacementSeries):
-        write_displacement_csv(series, path)
-    elif isinstance(series, SpectrumModel):
-        write_spectrum_csv(series, path)
-    elif isinstance(series, FarFieldCut):
-        save_farfield_cuts(series, path)
-    elif isinstance(series, (list, tuple)):
-        if len(series) == 0:
-            raise ValueError("nothing to write")
-        if isinstance(series[0], BandMetrics):
-            write_bands_csv(series, path)
-        elif isinstance(series[0], SweepPoint):
-            write_sweep_csv(series, path)
-        elif isinstance(series[0], FarFieldCut):
-            save_farfield_cuts(series, path)
-        else:
-            raise TypeError(f"no CSV layout for list of {type(series[0]).__name__}")
-    else:
-        raise TypeError(f"no CSV layout for {type(series).__name__}")
+def write_coherence_grid_csv(rows, path) -> None:
+    """Write ``(sigma_range_m, sigma_phi_rad, CoherentGainReport)`` grid rows."""
+    if len(rows) == 0:
+        raise ValueError("empty coherence grid")
+    _write_csv(path, COHERENCE_GRID_HEADER, ((sig, phi, *astuple(r)) for sig, phi, r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +189,32 @@ def _take(section: dict, allowed: dict, where: str) -> dict:
     out = dict(allowed)
     out.update(section)
     return out
+
+
+def _is_finite(value) -> bool:
+    """A JSON number (not a bool) that is finite as a float."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+# dataclass field type -> (what the JSON value must be, its check)
+_FIELD_CHECKS = {
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "float": ("a finite number", _is_finite),
+    "tuple": ("a list of finite numbers", lambda v: type(v) is list and all(map(_is_finite, v))),
+}
+
+
+def _check_field(value, kind: str, where: str):
+    """``value`` if it is a valid JSON field of dataclass type ``kind``; lists become tuples."""
+    what, ok = _FIELD_CHECKS[kind]
+    if not ok(value):
+        raise ValueError(f"{where} must be {what}, got {value!r}")
+    return tuple(value) if kind == "tuple" else value
 
 
 @dataclass(frozen=True)
@@ -249,12 +250,6 @@ class RangingConfig:
 
 
 @dataclass(frozen=True)
-class PhaseCenterConfig:
-    window_deg: float = 10.0
-    beam_region_deg: tuple = (-30.0, 30.0)
-
-
-@dataclass(frozen=True)
 class BeamformConfig:
     n_nodes: int
     f_action_hz: float
@@ -270,7 +265,6 @@ class ScenarioConfig:
     output_dir: str = "."
     waveform: WaveformConfig = None
     ranging: RangingConfig = None
-    phase_center: PhaseCenterConfig = None
     beamform: BeamformConfig = None
 
     def ranging_scenario(self, seed=None) -> RangingScenario:
@@ -288,52 +282,38 @@ class ScenarioConfig:
         )
 
 
+_SECTIONS = {"waveform": WaveformConfig, "ranging": RangingConfig, "beamform": BeamformConfig}
+
+
+def _parse_section(raw, cls, name: str):
+    """One scenario section: fields without a dataclass default are required."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"scenario section {name} must be a JSON object")
+    defaults = {f.name: None if f.default is MISSING else f.default for f in fields(cls)}
+    merged = _take(raw, defaults, f"scenario section {name}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and merged[f.name] is None]
+    if missing:
+        raise ValueError(f"scenario section {name} is missing: {', '.join(missing)}")
+    values = {}
+    for f in fields(cls):
+        value = merged[f.name]
+        if value is not None or f.default is not None:  # None leaves an optional field unset
+            value = _check_field(value, f.type, f"scenario field {name}.{f.name}")
+        values[f.name] = value
+    return cls(**values)
+
+
 def parse_scenario(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ValueError("scenario must be a JSON object")
-    top = _take(
-        doc,
-        {
-            "seed": 0,
-            "output_dir": ".",
-            "waveform": None,
-            "ranging": None,
-            "phase_center": None,
-            "beamform": None,
-        },
-        "scenario",
-    )
-    sections = {}
-    for name, cls, required in (
-        ("waveform", WaveformConfig, ("duration_s", "sample_rate_hz")),
-        ("ranging", RangingConfig, ("snr_db", "true_delay_s")),
-        ("phase_center", PhaseCenterConfig, ()),
-        ("beamform", BeamformConfig, ("n_nodes", "f_action_hz", "sigma_range_m")),
-    ):
-        raw = top[name]
-        if raw is None:
-            sections[name] = None
-            continue
-        if not isinstance(raw, dict):
-            raise ValueError(f"scenario section {name} must be a JSON object")
-        defaults = {f.name: f.default for f in cls.__dataclass_fields__.values()}
-        for key in required:
-            defaults[key] = None
-        merged = _take(raw, defaults, f"scenario section {name}")
-        missing = [k for k in required if merged[k] is None]
-        if missing:
-            raise ValueError(f"scenario section {name} is missing: {', '.join(missing)}")
-        for key in ("tone_frequencies_hz", "tone_amplitudes", "tone_phases_rad", "beam_region_deg"):
-            if key in merged and isinstance(merged[key], list):
-                merged[key] = tuple(merged[key])
-        sections[name] = cls(**merged)
+    top = _take(doc, {f.name: f.default for f in fields(ScenarioConfig)}, "scenario")
     return ScenarioConfig(
         seed=rand.check_seed(top["seed"]),
-        output_dir=str(top["output_dir"]),
-        waveform=sections["waveform"],
-        ranging=sections["ranging"],
-        phase_center=sections["phase_center"],
-        beamform=sections["beamform"],
+        output_dir=_check_field(top["output_dir"], "str", "scenario field output_dir"),
+        **{
+            name: None if top[name] is None else _parse_section(top[name], cls, name)
+            for name, cls in _SECTIONS.items()
+        },
     )
 
 

@@ -43,9 +43,14 @@ class FarFieldCut:
     phase_deg: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "phi_cut_deg", float(self.phi_cut_deg))
+        object.__setattr__(self, "frequency_hz", float(self.frequency_hz))
         object.__setattr__(self, "theta_deg", np.asarray(self.theta_deg, dtype=float))
         object.__setattr__(self, "magnitude_db", np.asarray(self.magnitude_db, dtype=float))
         object.__setattr__(self, "phase_deg", np.asarray(self.phase_deg, dtype=float))
+        for name in ("phi_cut_deg", "frequency_hz", "theta_deg", "magnitude_db", "phase_deg"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"far-field cut {name} must be finite")
         n = len(self.theta_deg)
         if n < 3:
             raise ValueError("a far-field cut needs at least 3 samples")

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ENERGY_NORM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Tone:

@@ -1,8 +1,10 @@
 """End-to-end CLI tests driven through the in-process dispatcher."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +150,26 @@ def test_out_of_range_seed_exits_1(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("ranging", "trials", "10"),
+        ("ranging", "two_way", "no"),
+        ("ranging", "snr_db", float("nan")),
+        (None, "phase_center", {"window_deg": 10.0}),
+    ],
+)
+def test_bad_scenario_field_exits_1(tmp_path, capsys, section, key, value):
+    doc = json.loads(scenario_file(tmp_path, trials=10).read_text())
+    (doc if section is None else doc[section])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert dispatch(["range-sim", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rangekit: error: ") and key in captured.err
+
+
 def test_phase_center_end_to_end(tmp_path, capsys):
     cut_a = point_source_cut(0.0, 0.005, 1.88e9, THETA)
     cut_b = point_source_cut(0.0, 0.0, 9.56e9, THETA)
@@ -287,6 +309,18 @@ def test_coherence_sigma_grid(tmp_path, capsys):
     first = lines[1].split(",")
     assert float(first[2]) == 1.0  # zero error keeps full gain
 
+    # a two-way link doubles each row's phase error for the same ranging error
+    two_way = tmp_path / "grid2.csv"
+    assert dispatch(
+        ["coherence", "-q", "--nodes", "8", "--f-action", "1.88e9", "--sigma-range", "0",
+         "--trials", "500", "--sigma-grid", "0:0.002:0.004", "--two-way", "--out", str(two_way)]
+    ) == 0
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    rows2 = [[float(v) for v in line.split(",")] for line in two_way.read_text().splitlines()[1:]]
+    assert [r[0] for r in rows2] == [r[0] for r in rows]
+    assert [r[1] for r in rows2] == [2.0 * r[1] for r in rows]
+    assert rows2[2][2] < rows[2][2]
+
     # the grid sweep needs somewhere to write
     assert dispatch(
         ["coherence", "--nodes", "8", "--f-action", "1.88e9",
@@ -367,6 +401,24 @@ def test_save_dimensions_round_trip_through_cli(tmp_path, capsys):
     save_dimensions(reference_dimensions(), path)
     assert dispatch(["geometry", "validate", "--in", str(path)]) == 0
     capsys.readouterr()
+
+
+def test_bench_tracer_finds_its_targets(tmp_path, capsys):
+    # bench/tracer.py patches rangekit functions by name; a rename must fail here too
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()  # inside try: uninstall also undoes a partial install
+        scen = scenario_file(tmp_path, trials=20)
+        assert dispatch(["range-sim", "-q", "--scenario", str(scen), "--out", "r.json"]) == 0
+    finally:
+        tracer.uninstall()
+    names = {span[2] for span in tracer.spans}
+    assert {"ranging.monte_carlo", "ranging.crlb_result", "fileio.dump_json"} <= names
+    assert tracer.layer_metrics()["ranging.monte_carlo.calls"] == 1
 
 
 def test_console_script_entry_point():

@@ -7,14 +7,15 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from rangekit.antenna_metrics import BandMetrics
+from rangekit.beamform import CoherentGainReport
 from rangekit.fileio import (
     BANDS_HEADER,
+    COHERENCE_GRID_HEADER,
     DISPLACEMENT_HEADER,
     FARFIELD_HEADER,
     SPECTRUM_HEADER,
     SWEEP_HEADER,
     SweepPoint,
-    emit_plot_data,
     fmt_float,
     load_farfield_cuts,
     load_scenario,
@@ -23,10 +24,15 @@ from rangekit.fileio import (
     report_dict,
     save_farfield_cuts,
     sha256_of,
+    write_bands_csv,
+    write_coherence_grid_csv,
+    write_displacement_csv,
     write_manifest,
+    write_spectrum_csv,
+    write_sweep_csv,
 )
-from rangekit.phase_center import DisplacementSeries, FarFieldCut, point_source_cut
-from rangekit.waveform import SpectrumModel, ToneSet, spectrum_of, synth_two_tone
+from rangekit.phase_center import DisplacementSeries, FarFieldCut
+from rangekit.waveform import SpectrumModel, ToneSet
 
 
 def test_fmt_float_round_trips():
@@ -85,48 +91,81 @@ def test_farfield_load_errors(tmp_path):
     with pytest.raises(ValueError):
         load_farfield_cuts(header_only)
 
+    # the 1 GHz group resumes after the 2 GHz one; theta still increases across its rows
+    interleaved = tmp_path / "interleaved.csv"
+    interleaved.write_text(
+        FARFIELD_HEADER + "\n"
+        "0,0,1e9,0,0\n1,0,1e9,0,0\n"
+        "0,0,2e9,0,0\n1,0,2e9,0,0\n2,0,2e9,0,0\n"
+        "2,0,1e9,0,0\n"
+    )
+    with pytest.raises(ValueError, match="appear together"):
+        load_farfield_cuts(interleaved)
 
-def test_emit_plot_data_dispatch(tmp_path):
-    series = DisplacementSeries(np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([5e-3, 5e-3]))
-    p1 = tmp_path / "disp.csv"
-    emit_plot_data(series, p1)
-    assert p1.read_text().splitlines()[0] == DISPLACEMENT_HEADER
+    for bad_row in ("nan,0,1e9,0,0", "1,0,inf,0,0", "1,nan,1e9,0,0", "1,0,1e9,-inf,0",
+                    "1,0,1e9,0,nan"):
+        non_finite = tmp_path / "non_finite.csv"
+        non_finite.write_text(f"{FARFIELD_HEADER}\n0,0,1e9,0,0\n{bad_row}\n2,0,1e9,0,0\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_farfield_cuts(non_finite)
 
-    bands = [BandMetrics(1.88e9, -24.7, 1.87e9, 1.89e9, 0.0106)]
-    p2 = tmp_path / "bands.csv"
-    emit_plot_data(bands, p2)
-    assert p2.read_text().splitlines()[0] == BANDS_HEADER
 
-    sig = synth_two_tone(ToneSet.two_tone(5e8), duration=1e-6, sample_rate=4e9)
-    spec = spectrum_of(sig)
-    p3 = tmp_path / "spec.csv"
-    emit_plot_data(spec, p3)
-    assert p3.read_text().splitlines()[0] == SPECTRUM_HEADER
-
-    points = [SweepPoint(5e8, 20.0, 1e-3, 1.1e-3, 1.2, 0)]
-    p4 = tmp_path / "sweep.csv"
-    emit_plot_data(points, p4)
-    lines = p4.read_text().splitlines()
-    assert lines[0] == SWEEP_HEADER
-    assert lines[1].endswith(",0")
-
-    cut = point_source_cut(0.001, 0.002, 1.88e9, np.arange(-30.0, 31.0))
-    p5 = tmp_path / "cut.csv"
-    emit_plot_data(cut, p5)
-    assert p5.read_text().splitlines()[0] == FARFIELD_HEADER
-
-    with pytest.raises(ValueError):
-        emit_plot_data([], tmp_path / "none.csv")
-    with pytest.raises(TypeError):
-        emit_plot_data({"not": "supported"}, tmp_path / "bad.csv")
-    with pytest.raises(TypeError):
-        emit_plot_data([1.0, 2.0], tmp_path / "bad2.csv")
+@pytest.mark.parametrize(
+    "writer, data, header, row",
+    [
+        (
+            save_farfield_cuts,
+            # integer phi and frequency are stored, and so written, as floats
+            FarFieldCut(90, 9560000000, [-1.5, 0.0, 2.0], [3.0, 4.0, 5.0], [-10.0, 0.0, 10.0]),
+            FARFIELD_HEADER,
+            "-1.5,90.0,9560000000.0,3.0,-10.0",
+        ),
+        (
+            write_spectrum_csv,
+            SpectrumModel("discrete", frequencies=[-5e8, 0.0], energy_density=[1e-9, 0.0]),
+            SPECTRUM_HEADER,
+            "-500000000.0,1e-09",
+        ),
+        (
+            write_displacement_csv,
+            DisplacementSeries([0.5], [0.0], [5e-3]),
+            DISPLACEMENT_HEADER,
+            "0.5,0.0,0.005",
+        ),
+        (
+            write_bands_csv,
+            [BandMetrics(1.88e9, -24.7, 1.87e9, 1.89e9, 0.0106)],
+            BANDS_HEADER,
+            "1880000000.0,-24.7,1870000000.0,1890000000.0,0.0106",
+        ),
+        (
+            write_sweep_csv,
+            [SweepPoint(5e8, 20.0, 1e-3, 1.1e-3, 1.2, np.int64(3))],
+            SWEEP_HEADER,
+            "500000000.0,20.0,0.001,0.0011,1.2,3",
+        ),
+        (
+            write_coherence_grid_csv,
+            [(np.float64(0.004), 0.25, CoherentGainReport(0.98, 0.975, 1.0))],
+            COHERENCE_GRID_HEADER,
+            "0.004,0.25,0.98,0.975,1.0",
+        ),
+    ],
+    ids=["farfield", "spectrum", "displacement", "bands", "sweep", "coherence-grid"],
+)
+def test_csv_writer_bytes(tmp_path, writer, data, header, row):
+    path = tmp_path / "out.csv"
+    writer(data, path)
+    assert path.read_bytes().startswith(f"{header}\n{row}\n".encode())
+    if isinstance(data, list):  # every list-taking writer refuses an empty list
+        with pytest.raises(ValueError):
+            writer([], tmp_path / "empty.csv")
 
 
 def test_analytic_spectrum_has_no_csv(tmp_path):
     spec = SpectrumModel.from_tones(ToneSet.two_tone(5e8))
     with pytest.raises(ValueError):
-        emit_plot_data(spec, tmp_path / "analytic.csv")
+        write_spectrum_csv(spec, tmp_path / "analytic.csv")
 
 
 SCENARIO_DOC = {
@@ -143,7 +182,6 @@ def test_parse_scenario_full():
     assert cfg.seed == 42 and cfg.output_dir == "out"
     assert cfg.ranging.trials == 1000  # default fills in
     assert cfg.beamform.trials == 100000
-    assert cfg.phase_center is None
     scen = cfg.ranging_scenario()
     assert scen.seed == 42 and scen.two_way
     assert scen.tones.separation == 5e8
@@ -158,6 +196,37 @@ def test_parse_scenario_rejects_unknown_keys():
     doc = json.loads(json.dumps(SCENARIO_DOC))
     doc["ranging"]["snr"] = 20.0
     with pytest.raises(ValueError, match="ranging"):
+        parse_scenario(doc)
+    doc = json.loads(json.dumps(SCENARIO_DOC))
+    doc["phase_center"] = {"window_deg": 10.0}
+    with pytest.raises(ValueError, match="phase_center"):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("ranging", "trials", "10"),
+        ("ranging", "trials", 10.0),
+        ("ranging", "trials", None),
+        ("ranging", "two_way", "no"),
+        ("ranging", "two_way", 1),
+        ("ranging", "snr_db", float("nan")),
+        ("ranging", "snr_db", True),
+        ("ranging", "true_delay_s", "5e-10"),
+        ("waveform", "sample_rate_hz", float("inf")),
+        ("waveform", "duration_s", 10**400),
+        ("waveform", "tone_amplitudes", [1.0, float("nan")]),
+        ("waveform", "tone_phases_rad", 0.0),
+        ("beamform", "n_nodes", True),
+        ("beamform", "sigma_range_m", -float("inf")),
+        (None, "output_dir", 5),
+    ],
+)
+def test_parse_scenario_rejects_bad_field_types(section, key, value):
+    doc = json.loads(json.dumps(SCENARIO_DOC))
+    (doc if section is None else doc[section])[key] = value
+    with pytest.raises(ValueError, match=key):
         parse_scenario(doc)
 
 

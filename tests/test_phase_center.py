@@ -37,6 +37,13 @@ def test_cut_validation():
         FarFieldCut(0.0, 1e9, [0.0, 1.0, 2.0], np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError):
         FarFieldCut(0.0, -1e9, [0.0, 1.0, 2.0], np.zeros(3), np.zeros(3))
+    ok = dict(phi_cut_deg=0.0, frequency_hz=1e9, theta_deg=[0.0, 1.0, 2.0],
+              magnitude_db=np.zeros(3), phase_deg=np.zeros(3))
+    for name, bad in (("phi_cut_deg", np.nan), ("frequency_hz", np.inf),
+                      ("theta_deg", [0.0, np.nan, 2.0]), ("magnitude_db", [0.0, -np.inf, 0.0]),
+                      ("phase_deg", [np.nan, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="finite"):
+            FarFieldCut(**dict(ok, **{name: bad}))
 
 
 @pytest.mark.parametrize("freq", [1.88e9, 9.56e9, 10.49e9])
