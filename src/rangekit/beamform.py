@@ -36,6 +36,8 @@ class CoherenceScenario:
     def __post_init__(self):
         if self.n_nodes < 2:
             raise ValueError("an array needs at least 2 nodes")
+        if not np.all(np.isfinite([self.f_action_hz, self.sigma_range_m])):
+            raise ValueError("f_action_hz and sigma_range_m must be finite")
         if self.f_action_hz <= 0:
             raise ValueError("action frequency must be positive")
         if self.sigma_range_m < 0:

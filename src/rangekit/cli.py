@@ -497,6 +497,9 @@ def dispatch(argv) -> int:
     except ValueError as exc:
         print(f"rangekit: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"rangekit: error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"rangekit: i/o error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,8 @@ periodic peaks spaced ``1/df``.  Scenarios therefore promise the true delay
 lies inside one ambiguity interval ``[0, 1/df)``; the estimator searches
 only that window, and Monte Carlo trials whose error still exceeds half the
 spacing ``1/(2*df)`` are counted as failures, reported separately from the
-RMSE so the bound comparison stays honest.
+RMSE so the bound comparison stays honest.  The Monte Carlo correlates only
+at the window's ``fs/df`` lags, so its cost per trial grows with ``fs/df``.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ class RangingScenario:
     seed: int = 0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.sample_rate, self.duration, self.true_delay])):
+            raise ValueError("sample_rate, duration and true_delay must be finite")
+        if not self.snr_db > -np.inf:
+            raise ValueError("snr_db must not be NaN or -inf")
         f_max = float(np.max(np.abs(self.tones.frequencies)))
         if self.sample_rate <= 2.0 * f_max:
             raise ValueError("sample_rate violates Nyquist for the tone set")
@@ -159,39 +164,26 @@ def _parabolic_offset(y_m1: np.ndarray, y_0: np.ndarray, y_p1: np.ndarray) -> np
     return np.clip(p, -1.0, 1.0)
 
 
-def _correlate(rx: np.ndarray, template_conj_fft: np.ndarray) -> np.ndarray:
-    """Circular cross-correlation magnitude; rx may be a (trials, n) block."""
-    spec = np.fft.fft(rx, axis=-1) * template_conj_fft
-    return np.abs(np.fft.ifft(spec, axis=-1))
-
-
-def _window_indices(n: int, sample_rate: float, search_window) -> np.ndarray:
+def _search_lags(sample_rate: float, search_window) -> np.ndarray:
+    """Integer lags of a search window ``(lo, hi)`` in seconds plus one
+    neighbour on each side, contiguous (not reduced modulo the record)."""
     lo, hi = search_window
     if not (hi > lo):
         raise ValueError("search window must have positive width")
     first = int(np.ceil(lo * sample_rate - 1e-9))
     last = int(np.floor(hi * sample_rate - 1e-9))
-    idx = np.arange(first, last + 1)
-    if len(idx) < 1:
+    if last < first:
         raise ValueError("search window narrower than one sample")
-    return idx % n
+    return np.arange(first - 1, last + 2)
 
 
-def _refine_peaks(env: np.ndarray, idx: np.ndarray, sample_rate: float) -> np.ndarray:
-    """Sub-sample peak positions (s) for each row of a correlation envelope,
-    searching only the lag indices in ``idx``."""
-    env = np.atleast_2d(env)
-    n = env.shape[-1]
-    local = np.argmax(env[:, idx], axis=-1)
-    peak = idx[local]
+def _refine_peaks(env: np.ndarray, lags: np.ndarray, sample_rate: float) -> np.ndarray:
+    """Sub-sample peak (s) per row of an envelope whose columns are ``lags``;
+    the first and last column only serve as neighbours of the peak."""
     rows = np.arange(env.shape[0])
-    y0 = env[rows, peak]
-    ym = env[rows, (peak - 1) % n]
-    yp = env[rows, (peak + 1) % n]
-    p = _parabolic_offset(ym, y0, yp)
-    # unwrap lags from the window start so windows near 0 stay contiguous
-    lag = np.where(idx[local] < idx[0], peak + n, peak).astype(float)
-    return (lag + p) / sample_rate
+    local = 1 + np.argmax(env[:, 1:-1], axis=1)
+    p = _parabolic_offset(env[rows, local - 1], env[rows, local], env[rows, local + 1])
+    return (lags[local] + p) / sample_rate
 
 
 def ml_toa_estimate(rx: SampledSignal, template: SampledSignal, search_window=None) -> float:
@@ -202,7 +194,7 @@ def ml_toa_estimate(rx: SampledSignal, template: SampledSignal, search_window=No
     on the envelope.  For ambiguous (e.g. two-tone) templates pass
     ``search_window=(lo, hi)`` in seconds to confine the search to one
     ambiguity interval; the returned delay then lies in that window up to
-    sub-sample refinement.
+    sub-sample refinement.  The default window is ``(0, rx.duration)``.
     """
     if rx.sample_rate != template.sample_rate:
         raise ValueError("rx and template must share a sample rate")
@@ -210,15 +202,13 @@ def ml_toa_estimate(rx: SampledSignal, template: SampledSignal, search_window=No
         raise ValueError("rx and template must have the same length")
     if template.energy == 0:
         raise ValueError("template has zero energy")
-    env = _correlate(rx.samples, np.conj(np.fft.fft(template.samples)))
+    # one whole-record FFT correlation: an unwindowed search needs every lag
+    env = np.abs(np.fft.ifft(np.fft.fft(rx.samples) * np.conj(np.fft.fft(template.samples))))
     if np.max(env) == 0.0:
         raise ValueError("degenerate correlation: all zeros")
-    n = len(rx)
-    if search_window is None:
-        idx = np.arange(n)
-    else:
-        idx = _window_indices(n, rx.sample_rate, search_window)
-    return float(_refine_peaks(env[np.newaxis, :], idx, rx.sample_rate)[0])
+    window = (0.0, rx.duration) if search_window is None else search_window
+    lags = _search_lags(rx.sample_rate, window)
+    return float(_refine_peaks(env[np.newaxis, lags % len(rx)], lags, rx.sample_rate)[0])
 
 
 def _noise_sigma(snr_db: float, sample_rate: float) -> float:
@@ -237,7 +227,9 @@ def monte_carlo(scenario: RangingScenario, trials: int, workers: int = 1) -> Mon
     Each trial adds independent complex white Gaussian noise (scaled per the
     module SNR convention) to the delayed template and estimates the delay.
     Trials whose error exceeds half the ambiguity spacing are counted as
-    failures and excluded from the RMSE.  Noise is drawn per block of
+    failures and excluded from the RMSE.  Each block is correlated only at
+    the window's ``fs/df`` + 2 lags, by one matrix product, so the cost per
+    trial grows with ``fs/df``.  Noise is drawn per block of
     :data:`rand.BLOCK_TRIALS` trials from a generator keyed by
     (scenario.seed, block start), so the report is bit-identical for any
     worker count.
@@ -246,11 +238,11 @@ def monte_carlo(scenario: RangingScenario, trials: int, workers: int = 1) -> Mon
         raise ValueError("trials must be >= 1")
     template = scenario.template()
     rx_clean = delay_signal(template, scenario.true_delay).samples
-    tmpl_conj_fft = np.conj(np.fft.fft(template.samples))
     n = len(template)
     fs = scenario.sample_rate
-    window = (0.0, scenario.ambiguity_window())
-    idx = _window_indices(n, fs, window)
+    lags = _search_lags(fs, (0.0, scenario.ambiguity_window()))
+    # column j is conj(template) delayed by lags[j]: rx @ shifted correlates at those lags
+    shifted = np.conj(template.samples[(np.arange(n)[:, np.newaxis] - lags) % n])
     scale = _noise_sigma(scenario.snr_db, fs) / np.sqrt(2.0)
 
     def run_block(block: range) -> np.ndarray:
@@ -259,7 +251,7 @@ def monte_carlo(scenario: RangingScenario, trials: int, workers: int = 1) -> Mon
         rng.standard_normal(out=rx.view(float))
         rx *= scale
         rx += rx_clean
-        return _refine_peaks(_correlate(rx, tmpl_conj_fft), idx, fs)
+        return _refine_peaks(np.abs(rx @ shifted), lags, fs)
 
     tau_hat = rand.run_trials(run_block, trials, workers)
     err = tau_hat - scenario.true_delay

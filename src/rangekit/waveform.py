@@ -167,6 +167,8 @@ def synth_two_tone(tones: ToneSet, duration: float, sample_rate: float) -> Sampl
     duration; durations holding an integer number of cycles of every tone
     keep spectral leakage at numerical noise (recommended, not enforced).
     """
+    if not np.all(np.isfinite([duration, sample_rate, duration * sample_rate])):
+        raise ValueError("duration, sample_rate and their product must be finite")
     if duration <= 0:
         raise ValueError("duration must be positive")
     f_max = float(np.max(np.abs(tones.frequencies)))

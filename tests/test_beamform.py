@@ -109,6 +109,9 @@ def test_scenario_validation():
         CoherenceScenario(4, F_ACTION, -0.01, trials=10)
     with pytest.raises(ValueError):
         CoherenceScenario(4, F_ACTION, 0.01, trials=0)
+    for f_action, sigma in ((np.inf, 0.01), (np.nan, 0.01), (F_ACTION, np.inf), (F_ACTION, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            CoherenceScenario(4, f_action, sigma, trials=10)
     for seed in (-1, 2**64, 2.7, True):
         with pytest.raises(ValueError, match="seed"):
             CoherenceScenario(4, F_ACTION, 0.01, trials=10, seed=seed)

@@ -170,6 +170,41 @@ def test_bad_scenario_field_exits_1(tmp_path, capsys, section, key, value):
     assert captured.err.startswith("rangekit: error: ") and key in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["waveform", "--separation", "5e8", "--duration", "1e-6", "--sample-rate", "inf"],
+        ["sweep", "--delta-f", "5e8:1e8:5e8", "--snr", "20:1:20", "--sample-rate", "inf"],
+        ["sweep", "--delta-f", "5e8:1e8:5e8", "--snr", "20:1:20", "--duration", "1e300"],
+        ["range-sim", "--scenario", "{huge}"],
+    ],
+    ids=["waveform-inf-rate", "sweep-inf-rate", "sweep-huge-duration", "scenario-huge-duration"],
+)
+def test_non_finite_record_size_exits_1(tmp_path, capsys, argv):
+    doc = json.loads(scenario_file(tmp_path, trials=10).read_text())
+    doc["waveform"]["duration_s"] = 1e300  # finite, but the sample count is not
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    argv = [a.format(huge=huge) for a in argv]
+    if argv[0] == "sweep":
+        argv += ["--trials", "10", "--out", str(tmp_path / "sweep.csv")]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rangekit: error: ") and "finite" in captured.err
+
+
+def test_memory_error_exits_1(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB")
+
+    monkeypatch.setattr("rangekit.cli.synth_two_tone", exhausted)
+    argv = ["waveform", "--separation", "5e8", "--duration", "10", "--sample-rate", "4e9"]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rangekit: error: ") and "298. GiB" in err
+
+
 def test_phase_center_end_to_end(tmp_path, capsys):
     cut_a = point_source_cut(0.0, 0.005, 1.88e9, THETA)
     cut_b = point_source_cut(0.0, 0.0, 9.56e9, THETA)

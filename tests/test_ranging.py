@@ -101,9 +101,15 @@ def test_ml_toa_off_grid():
 def test_ml_toa_two_tone_windowed():
     # ambiguous template: the caller supplies the a-priori window
     tpl = synth_two_tone(ToneSet.two_tone(5e8), 1e-6, 4e9)
-    rx = delay_signal(tpl, 1.3 / 4e9)
-    tau = ml_toa_estimate(rx, tpl, search_window=(0.0, 2e-9))
-    assert abs(tau - 1.3 / 4e9) * 4e9 < 0.05
+    for delay_samples, window, expected_samples in (
+        (1.3, (0.0, 2e-9), 1.3),
+        (0.3, (-1e-9, 1e-9), 0.3),  # window starts below lag 0
+        (1.3, (1e-6 - 1e-9, 1e-6 + 1e-9), 4001.3),  # window crosses the record end
+    ):
+        rx = delay_signal(tpl, delay_samples / 4e9)
+        tau = ml_toa_estimate(rx, tpl, search_window=window)
+        assert window[0] <= tau <= window[1]
+        assert abs(tau * 4e9 - expected_samples) < 0.05
 
 
 def test_ml_toa_errors():
@@ -129,6 +135,12 @@ def test_scenario_validation():
     for seed in (-1, 2**64, 2.7, True):
         with pytest.raises(ValueError, match="seed"):
             RangingScenario(ts, 16.0, 0.0, True, 4e9, 1e-6, seed=seed)
+    for sample_rate, duration, delay in ((np.inf, 1e-6, 0.0), (4e9, np.inf, 0.0), (4e9, 1e-6, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            RangingScenario(ts, 16.0, delay, True, sample_rate, duration)
+    for snr_db in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="snr_db"):
+            RangingScenario(ts, snr_db, 0.0, True, 4e9, 1e-6)
 
 
 def test_monte_carlo_noiseless_limit():
@@ -140,6 +152,18 @@ def test_monte_carlo_noiseless_limit():
     assert rep.rmse_tau * 4e9 < 0.05  # interpolation error only
     with pytest.raises(ValueError):
         monte_carlo(sc, 0)
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.6e-9, 1.3e-9])
+def test_monte_carlo_matches_fft_reference(delay):
+    # the Monte Carlo correlates at the window lags only; without noise it
+    # must agree with the whole-record FFT search of ml_toa_estimate
+    sc = RangingScenario(ToneSet.two_tone(5e8), np.inf, delay, True, 4e9, 1e-6)
+    tpl = sc.template()
+    ref = ml_toa_estimate(delay_signal(tpl, delay), tpl, (0.0, 1.0 / 5e8))
+    rep = monte_carlo(sc, 3)
+    assert rep.failures == 0
+    assert abs(rep.bias_tau + delay - ref) * 4e9 < 1e-9
 
 
 def test_monte_carlo_near_bound():

@@ -64,6 +64,9 @@ def test_synthesis_errors():
         synth_two_tone(ToneSet.two_tone(1e9), 0.0, 4e9)
     with pytest.raises(ValueError):
         synth_two_tone(ToneSet.two_tone(4e9), 1e-6, 4e9)  # Nyquist
+    for duration, sample_rate in ((np.inf, 4e9), (np.nan, 4e9), (1e-6, np.inf), (1e300, 4e9)):
+        with pytest.raises(ValueError, match="finite"):
+            synth_two_tone(ToneSet.two_tone(1e9), duration, sample_rate)
 
 
 def test_unit_energy_normalization():
