@@ -42,6 +42,8 @@ class SParamTrace:
             raise ValueError("frequency and S11 arrays must have equal length")
         if len(self.frequency_hz) < 2:
             raise ValueError("a trace needs at least 2 points")
+        if not (np.all(np.isfinite(self.frequency_hz)) and np.all(np.isfinite(self.s11_db))):
+            raise ValueError("trace frequencies and S11 values must be finite")
         if np.any(np.diff(self.frequency_hz) <= 0):
             raise ValueError("trace frequencies must be strictly increasing")
 
@@ -185,6 +187,8 @@ def find_bands(trace: SParamTrace, threshold_db: float = -10.0) -> list:
 
     Returns an empty list when the trace never dips below the threshold.
     """
+    if not np.isfinite(threshold_db):
+        raise ValueError(f"band threshold must be finite, got {threshold_db!r}")
     f = trace.frequency_hz
     s = trace.s11_db
     below = s < threshold_db

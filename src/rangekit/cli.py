@@ -59,6 +59,8 @@ def parse_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:step:stop, got {text!r}")
     start, step, stop = (float(p) for p in parts)
+    if not np.all(np.isfinite([start, step, stop])):
+        raise ValueError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0:
         raise ValueError("grid step must be positive")
     if stop < start:
@@ -80,7 +82,7 @@ def parse_region(text: str) -> tuple:
 
 def _emit(args, doc) -> None:
     if not args.quiet:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
 
 
 def _load_config(args):
@@ -169,7 +171,7 @@ def _cmd_range_sim(args) -> int:
         },
         "crlb": fileio.report_dict(bound),
         "monte_carlo": fileio.report_dict(report),
-        "mc_rmse_range_m": mc_rmse_range_m,
+        "mc_rmse_range_m": fileio.finite_or_none(mc_rmse_range_m),
     }
     out = _resolve_out(args.out, config)
     if out is not None:

@@ -363,15 +363,21 @@ def write_manifest(output_path, command, parameters, input_paths=(), extra_outpu
 
 def dump_json(doc, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
+def finite_or_none(value):
+    """``None`` for a non-finite float (JSON has no NaN or Infinity), else ``value``."""
+    return None if isinstance(value, float) and not np.isfinite(value) else value
+
+
 def report_dict(obj) -> dict:
-    """Dataclass report -> plain dict with JSON-safe scalars."""
+    """Dataclass report -> plain dict with JSON-safe scalars; a non-finite
+    float becomes ``None``."""
     out = {}
     for key, value in asdict(obj).items():
         if isinstance(value, (np.floating, np.integer)):
             value = value.item()
-        out[key] = value
+        out[key] = finite_or_none(value)
     return out

@@ -81,6 +81,17 @@ def test_trace_validation():
         SParamTrace(np.array([1e9]), np.array([-3.0]))
     with pytest.raises(ValueError):
         SParamTrace(np.array([1e9, 1e9]), np.array([-3.0, -4.0]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            SParamTrace(np.array([1e9, 2e9, bad]), np.array([-3.0, -4.0, -5.0]))
+        with pytest.raises(ValueError, match="finite"):
+            SParamTrace(np.array([1e9, 2e9, 3e9]), np.array([-3.0, bad, -5.0]))
+
+
+def test_find_bands_rejects_non_finite_threshold():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            find_bands(three_dip_trace(), threshold_db=bad)
 
 
 def test_find_bands_three_dips():

@@ -27,6 +27,9 @@ def test_parse_grid():
     for bad in ("1:2", "0:0:10", "10:1:0", "a:b:c"):
         with pytest.raises(ValueError):
             parse_grid(bad)
+    for bad in ("0:1:inf", "-inf:1:0", "0:inf:5", "nan:1:5", "0:nan:5", "0:1:nan"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_grid(bad)
 
 
 def test_parse_region():
@@ -194,6 +197,50 @@ def test_non_finite_record_size_exits_1(tmp_path, capsys, argv):
     assert captured.err.startswith("rangekit: error: ") and "finite" in captured.err
 
 
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert [line for line in lines if line.startswith("rangekit: error: ")] == lines[-1:]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--delta-f", "5e8:1e8:5e8", "--snr", "0:1:inf"],
+        ["sweep", "--delta-f", "nan:1e8:5e8", "--snr", "20:1:20"],
+        ["coherence", "--nodes", "4", "--f-action", "1e9", "--sigma-range", "0.01",
+         "--sigma-grid", "0:0.001:inf"],
+    ],
+    ids=["sweep-inf-snr", "sweep-nan-delta-f", "coherence-inf-sigma"],
+)
+def test_non_finite_grid_exits_1(tmp_path, capsys, argv):
+    assert dispatch(argv + ["--trials", "10", "--out", str(tmp_path / "grid.csv")]) == 1
+    assert_one_error_line(capsys)
+
+
+def test_all_failed_range_sim_reports_null(tmp_path, capsys, monkeypatch):
+    # every estimate lands 1.4 ns from the 0.5 ns truth, beyond the 1 ns
+    # failure threshold, so no trial is left for the rmse
+    monkeypatch.setattr(
+        "rangekit.ranging._refine_peaks", lambda env, lags, fs: np.full(len(env), 1.9e-9)
+    )
+    scen = scenario_file(tmp_path, trials=20)
+    assert dispatch(["range-sim", "--scenario", str(scen), "--out", "report.json"]) == 0
+    out = capsys.readouterr().out
+
+    def reject(token):
+        raise AssertionError(f"{token} in JSON output")
+
+    doc = json.loads(out, parse_constant=reject)
+    mc = doc["monte_carlo"]
+    assert mc["failures"] == mc["trials"] == 20
+    assert mc["rmse_tau"] is mc["bias_tau"] is mc["crlb_ratio"] is None
+    assert doc["mc_rmse_range_m"] is None
+    assert json.loads((tmp_path / "report.json").read_text(), parse_constant=reject) == doc
+
+
 def test_memory_error_exits_1(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 298. GiB")
@@ -268,6 +315,15 @@ def test_s11_bands_threshold_flag(tmp_path, capsys):
     assert dispatch(["s11-bands", "--in", str(ts), "--threshold", "-15"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["bands"]) == 2  # the -12.26 dB dip drops out
+    assert dispatch(["s11-bands", "--in", str(ts), "--threshold", "nan"]) == 1
+    assert_one_error_line(capsys)
+
+
+def test_s11_bands_non_finite_row_exits_1(tmp_path, capsys):
+    ts = tmp_path / "sweep.s1p"
+    ts.write_text("# HZ S DB R 50\n1e9 -3 0\n2e9 -20 0\ninf -3 0\n")
+    assert dispatch(["s11-bands", "--in", str(ts)]) == 1
+    assert_one_error_line(capsys)
 
 
 def test_gain_stats_cli(tmp_path, capsys):

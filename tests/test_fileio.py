@@ -16,6 +16,7 @@ from rangekit.fileio import (
     SPECTRUM_HEADER,
     SWEEP_HEADER,
     SweepPoint,
+    dump_json,
     fmt_float,
     load_farfield_cuts,
     load_scenario,
@@ -310,3 +311,13 @@ def test_report_dict_json_safe():
     assert type(doc["delta_f_hz"]) is float
     assert type(doc["failures"]) is int
     json.dumps(doc)  # must serialize without a custom encoder
+    nan_point = SweepPoint(5e8, 0.0, 1e-3, float("nan"), np.float64(np.inf), 200)
+    doc = report_dict(nan_point)
+    assert doc["mc_rmse_range_m"] is None and doc["crlb_ratio"] is None
+    assert doc["failures"] == 200
+
+
+def test_dump_json_rejects_non_finite(tmp_path):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            dump_json({"x": bad}, tmp_path / "bad.json")

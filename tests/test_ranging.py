@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from scipy.constants import c
 
+from rangekit import rand
 from rangekit.ranging import (
     RangingScenario,
+    _lag_noise_factor,
+    _noise_sigma,
+    _refine_peaks,
+    _search_lags,
     crlb_range,
     crlb_result,
     crlb_toa,
@@ -16,6 +21,15 @@ from rangekit.ranging import (
 from rangekit.waveform import ToneSet, delay_signal, synth_two_tone, two_tone_rms_bandwidth
 
 ZETA_500M = (np.pi * 5e8) ** 2  # two equal tones, 500 MHz apart
+
+# a 1 us record holds a whole number of cycles of both tones, a 250 ns one does not
+RECORDS = pytest.mark.parametrize("duration, rank", [(1e-6, 2), (2.5e-7, 10)], ids=["1us", "250ns"])
+
+
+def shifted_template(tpl, lags):
+    """(n, L) matrix whose column j is conj(tpl) delayed by lags[j], so that
+    ``rx @ shifted`` correlates a record against the template at those lags."""
+    return np.conj(tpl[(np.arange(len(tpl))[:, np.newaxis] - lags) % len(tpl)])
 
 
 def smooth_template(duration=1e-6, sample_rate=4e9):
@@ -196,3 +210,63 @@ def test_monte_carlo_deterministic_across_workers():
         reports = [monte_carlo(sc, trials, workers=w) for w in (1, 2, 3, 8)]
         assert reports[0].failures == 0
         assert reports[0] == reports[1] == reports[2] == reports[3]
+
+
+def test_monte_carlo_wraps_alias_at_window_end():
+    # the true peak at 7.96 samples lies past the last window lag 7, so the
+    # argmax lands on its alias at lag 0; wrapping modulo 1/df recovers it
+    sc = RangingScenario(ToneSet.two_tone(5e8), np.inf, 1.99e-9, False, 4e9, 1e-6)
+    rep = monte_carlo(sc, 3)
+    assert rep.failures == 0
+    assert rep.rmse_tau < 1e-12
+
+
+@pytest.mark.parametrize(
+    "tones, duration, rank",
+    [
+        (ToneSet.two_tone(5e8), 1e-6, 2),
+        (ToneSet.two_tone(5e8), 2.5e-7, 10),
+        # unequal amplitudes make the covariance genuinely complex
+        (ToneSet.from_pairs([(-2.5e8, 1.0), (2.5e8, 0.5)]), 1e-6, 2),
+    ],
+    ids=["1us", "250ns", "1us-unequal"],
+)
+def test_lag_noise_factor_matches_sample_domain_gram(tones, duration, rank):
+    tpl = synth_two_tone(tones, duration, 4e9).samples
+    lags = _search_lags(4e9, (0.0, 2e-9))
+    shifted = shifted_template(tpl, lags)
+    gram = shifted.T @ shifted.conj()
+    factor = _lag_noise_factor(tpl, lags)
+    assert factor.shape == (rank, len(lags))
+    assert np.max(np.abs(factor.T @ factor.conj() - gram)) <= 1e-9 * np.max(np.abs(gram))
+
+
+@RECORDS
+def test_monte_carlo_matches_sample_domain(duration, rank):
+    # a brute-force Monte Carlo that adds white noise to every sample of the
+    # record must agree in distribution with the lag-domain draw
+    trials, delay, window = 4096, 0.6e-9, 2e-9
+    sc = RangingScenario(ToneSet.two_tone(5e8), 5.0, delay, False, 4e9, duration, seed=11)
+    tpl = sc.template()
+    lags = _search_lags(4e9, (0.0, window))
+    shifted = shifted_template(tpl.samples, lags)
+    rx_clean = delay_signal(tpl, delay).samples
+    scale = _noise_sigma(sc.snr_db, 4e9) / np.sqrt(2.0)
+    rng = np.random.default_rng(2024)
+    tau = []
+    for block in range(0, trials, rand.BLOCK_TRIALS):
+        noise = rng.standard_normal((rand.BLOCK_TRIALS, 2 * len(tpl))).view(complex)
+        tau.append(_refine_peaks(np.abs((rx_clean + scale * noise) @ shifted), lags, 4e9))
+    err = np.mod(np.concatenate(tau), window) - delay
+    failed = np.abs(err) > window / 2
+    ok_sq = err[~failed] ** 2
+    bound = crlb_toa(sc.zeta_f2(), sc.snr_db)
+    ratio = np.mean(ok_sq) / bound
+    ratio_se = np.std(ok_sq, ddof=1) / np.sqrt(len(ok_sq)) / bound
+
+    rep = monte_carlo(sc, trials)
+    # both sides share one distribution, so each has about the same standard error
+    assert abs(rep.crlb_ratio - ratio) <= 4.0 * np.sqrt(2.0) * ratio_se
+    p_bf, p_mc = np.mean(failed), rep.failures / trials
+    fail_se = np.sqrt((p_bf * (1 - p_bf) + p_mc * (1 - p_mc)) / trials)
+    assert abs(p_mc - p_bf) <= 4.0 * fail_se
