@@ -75,6 +75,8 @@ def parse_region(text: str) -> tuple:
     if len(parts) != 2:
         raise ValueError(f"region must be lo:hi, got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
+    if not np.all(np.isfinite([lo, hi])):
+        raise ValueError(f"region bounds must be finite, got {text!r}")
     if hi <= lo:
         raise ValueError("region must have positive width")
     return (lo, hi)

@@ -362,9 +362,10 @@ def write_manifest(output_path, command, parameters, input_paths=(), extra_outpu
 
 
 def dump_json(doc, path) -> None:
+    """Write ``doc`` as JSON; a NaN or Infinity raises before the file is opened."""
+    text = json.dumps(doc, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def finite_or_none(value):

@@ -22,12 +22,13 @@ numbers as convention-dependent and never rescales someone else's.
 Two-tone ambiguity: the correlation of a tone pair separated by ``df`` has
 periodic peaks spaced ``1/df``.  Scenarios therefore promise the true delay
 lies inside one ambiguity interval ``[0, 1/df)``; the estimator searches
-only that window, the Monte Carlo wraps its estimates into it modulo
-``1/df``, and trials whose error still exceeds half the spacing
-``1/(2*df)`` are counted as failures, reported separately from the RMSE so
-the bound comparison stays honest.  The Monte Carlo's per-trial cost does
-not depend on the record length; its set-up is one O(L^3) ``eigh`` over
-the L ~ ``fs/df`` window lags.
+only that window, and Monte Carlo trials whose error still exceeds half the
+spacing ``1/(2*df)`` are counted as failures, reported separately from the
+RMSE so the bound comparison stays honest.  The Monte Carlo's per-trial
+cost does not depend on the record length: it draws the noise directly at
+the L ~ ``fs/df`` window lags, as r <= L complex normals, where r is the
+number of frequency bins the template occupies (2 for a two-tone record of
+whole cycles).
 """
 
 from __future__ import annotations
@@ -194,16 +195,22 @@ def _correlate(x: np.ndarray, template: np.ndarray) -> np.ndarray:
 
 
 def _lag_noise_factor(template: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """Factor ``F`` (r, L), one row per eigenvalue above rounding, with
-    ``F.T @ F.conj() == G``: the covariance ``G[i, j] = a((l_i - l_j) mod n)``
-    of unit-variance complex white noise correlated against ``template`` at
-    the L ``lags``, ``a`` being its circular autocorrelation.  So ``z @ F``
-    for r standard complex normals ``z`` is that noise, exactly."""
-    a = _correlate(template, template)
-    gram = a[(lags[:, np.newaxis] - lags) % len(template)]
-    w, v = np.linalg.eigh(gram)
-    keep = w > w[-1] * len(w) * np.finfo(float).eps
-    return np.sqrt(w[keep])[:, np.newaxis] * v[:, keep].T
+    """Factor ``F`` (r, L) with ``F.T @ F.conj() == G``, the covariance at
+    the L ``lags`` of unit-variance complex white noise correlated against
+    ``template``, so that ``z @ F`` for r standard complex normals is that
+    noise, exactly.
+
+    ``G[i, j] = a((l_i - l_j) mod n)``, ``a`` being the template's circular
+    autocorrelation, is the sum over bins k of ``|T_k|^2 / n`` times the
+    outer product of the phasors ``exp(2j pi k l / n)``.  Row k of ``F`` is
+    that phasor scaled by ``|T_k| / sqrt(n)``, for every bin above rounding;
+    more than L rows are reduced to L by a QR, which leaves ``G`` unchanged."""
+    n = len(template)
+    power = np.abs(np.fft.fft(template)) ** 2 / n
+    bins = np.flatnonzero(power > power.max() * np.finfo(float).eps)
+    factor = np.exp((2j * np.pi / n) * (np.outer(bins, lags) % n))
+    factor *= np.sqrt(power[bins])[:, np.newaxis]
+    return factor if len(bins) <= len(lags) else np.linalg.qr(factor, mode="r")
 
 
 def ml_toa_estimate(rx: SampledSignal, template: SampledSignal, search_window=None) -> float:
@@ -247,21 +254,20 @@ def monte_carlo(scenario: RangingScenario, trials: int, workers: int = 1) -> Mon
     module SNR convention) to the delayed template and estimates the delay
     from the correlation at the window's ``fs/df`` + 2 lags.  That noise is
     drawn there directly, as r <= L complex normals times the factor of
-    :func:`_lag_noise_factor`, so the per-trial cost does not depend on the
-    record length; set-up is one O(L^3) ``eigh``.  Estimates are wrapped
-    into ``[0, 1/df)``; trials whose error still exceeds half the ambiguity
-    spacing are failures, excluded from the RMSE.  Noise is drawn per block
-    of :data:`rand.BLOCK_TRIALS` trials from a generator keyed by
-    (scenario.seed, block start), so the report is bit-identical for any
-    worker count.
+    :func:`_lag_noise_factor`, so the per-trial cost is O(r*L) whatever the
+    record length.  Set-up is one template FFT, plus an O(n*L^2) QR when the
+    template's spectrum is spread over more than L bins.  Trials whose
+    error exceeds half the ambiguity spacing are failures, excluded from the
+    RMSE.  Noise is drawn per block of :data:`rand.BLOCK_TRIALS` trials from
+    a generator keyed by (scenario.seed, block start), so the report is
+    bit-identical for any worker count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     template = scenario.template()
     rx_clean = delay_signal(template, scenario.true_delay).samples
     fs = scenario.sample_rate
-    window = scenario.ambiguity_window()
-    lags = _search_lags(fs, (0.0, window))
+    lags = _search_lags(fs, (0.0, scenario.ambiguity_window()))
     clean = _correlate(rx_clean, template.samples)[lags % len(template)]
     scale = _noise_sigma(scenario.snr_db, fs) / np.sqrt(2.0)
     factor = scale * _lag_noise_factor(template.samples, lags)
@@ -271,8 +277,7 @@ def monte_carlo(scenario: RangingScenario, trials: int, workers: int = 1) -> Mon
         z = rng.standard_normal((len(block), 2 * len(factor))).view(complex)
         return _refine_peaks(np.abs(clean + z @ factor), lags, fs)
 
-    tau_hat = np.mod(rand.run_trials(run_block, trials, workers), window)
-    err = tau_hat - scenario.true_delay
+    err = rand.run_trials(run_block, trials, workers) - scenario.true_delay
     sep = scenario.tones.separation
     fail_threshold = 0.5 / sep if sep > 0 else np.inf
     failed = np.abs(err) > fail_threshold

@@ -35,7 +35,7 @@ def test_parse_grid():
 def test_parse_region():
     assert parse_region("-30:30") == (-30.0, 30.0)
     assert parse_region("0:15") == (0.0, 15.0)
-    for bad in ("30:-30", "10", "1:2:3"):
+    for bad in ("30:-30", "10", "1:2:3", "0:inf", "-inf:0", "nan:10"):
         with pytest.raises(ValueError):
             parse_region(bad)
 
@@ -346,6 +346,11 @@ def test_gain_stats_cli(tmp_path, capsys):
     lin = json.loads(capsys.readouterr().out)
     assert lin["mean_domain"] == "linear"
     assert lin["stats"][0]["mean_gain_db"] > doc["stats"][0]["mean_gain_db"]
+
+    bad = tmp_path / "bad.json"
+    assert dispatch(["gain-stats", "--cut", str(path), "--region", "0:inf", "--out", str(bad)]) == 1
+    assert_one_error_line(capsys)
+    assert not bad.exists()
 
 
 def test_coherence_flags(tmp_path, capsys):

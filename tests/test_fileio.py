@@ -321,3 +321,4 @@ def test_dump_json_rejects_non_finite(tmp_path):
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             dump_json({"x": bad}, tmp_path / "bad.json")
+        assert not (tmp_path / "bad.json").exists()  # nothing half-written
