@@ -8,8 +8,8 @@ Carlo gain fraction next to the closed form.
 """
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
+from rangekit import SPEED_OF_LIGHT
 from rangekit.beamform import CoherenceScenario, coherent_gain, range_to_phase_error
 
 N = 10

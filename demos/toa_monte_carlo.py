@@ -8,8 +8,7 @@ failures (peaks picked one 1/delta_f period off), which are counted
 separately rather than folded into the rmse.
 """
 
-from scipy.constants import c as SPEED_OF_LIGHT
-
+from rangekit import SPEED_OF_LIGHT
 from rangekit.ranging import RangingScenario, crlb_result, monte_carlo
 from rangekit.waveform import ToneSet
 

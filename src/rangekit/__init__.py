@@ -16,6 +16,10 @@ The package has three legs:
 
 __version__ = "0.1.0"
 
+# m/s, exact by the SI definition of the metre; defined before the submodule
+# imports below, which read it from here
+SPEED_OF_LIGHT = 299_792_458.0
+
 from .waveform import (
     Tone,
     ToneSet,
@@ -75,6 +79,7 @@ from .geometry import (
 )
 
 __all__ = [
+    "SPEED_OF_LIGHT",
     "Tone",
     "ToneSet",
     "SampledSignal",

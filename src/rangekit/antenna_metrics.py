@@ -114,29 +114,30 @@ def _to_db(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 20.0 * np.log10(mag)
 
 
-def load_touchstone(path) -> SParamTrace:
-    """Load a one-port Touchstone (.s1p) sweep as a dB-magnitude trace.
+def _check_lines(lines, header_only=False):
+    """Apply the per-line Touchstone rules to ``lines``, in file order.
 
-    Accepts the standard option line ``# <HZ|KHZ|MHZ|GHZ> S <DB|MA|RI> R <n>``
-    (tokens optional, defaults GHZ S MA R 50), full-line and trailing ``!``
-    comments, and three-column data rows.  Phase/angle information is
-    dropped; only the reflection magnitude is kept.
+    Returns the parsed option line (None if there is none) and the index of
+    the first data row (``len(lines)`` if there is none).  With
+    ``header_only`` the scan stops at the first data row; otherwise every
+    data row is checked too.  The first line that breaks a rule raises
+    ValueError naming it.
     """
-    with open(path) as fh:
-        lines = fh.readlines()
-    option = None
-    rows = []
-    for raw in lines:
+    option, first_row = None, len(lines)
+    for i, raw in enumerate(lines):
         line = raw.split("!", 1)[0].strip()
         if not line:
             continue
         if line.startswith("#"):
             if option is not None:
                 raise ValueError("multiple option lines")
-            if rows:
+            if first_row < i:
                 raise ValueError("option line must precede the data")
             option = _parse_option_line(line[1:].split())
             continue
+        first_row = min(first_row, i)
+        if header_only:
+            break
         values = line.split()
         if len(values) != 3:
             if len(values) > 3:
@@ -146,15 +147,39 @@ def load_touchstone(path) -> SParamTrace:
                 )
             raise ValueError(f"malformed data row: {raw.strip()!r}")
         try:
-            rows.append([float(v) for v in values])
+            for v in values:
+                float(v)
         except ValueError:
             raise ValueError(f"malformed data row: {raw.strip()!r}")
-    if option is None:
-        option = ("GHZ", "S", "MA", 50.0)
-    if not rows:
+    return option, first_row
+
+
+def load_touchstone(path) -> SParamTrace:
+    """Load a one-port Touchstone (.s1p) sweep as a dB-magnitude trace.
+
+    Accepts the standard option line ``# <HZ|KHZ|MHZ|GHZ> S <DB|MA|RI> R <n>``
+    (tokens optional, defaults GHZ S MA R 50), full-line and trailing ``!``
+    comments, and three-column data rows.  Phase/angle information is
+    dropped; only the reflection magnitude is kept.
+
+    The leading comment and option lines are checked line by line and the
+    data block is parsed by one ``np.loadtxt`` call.  When that call fails,
+    the per-line check reruns over the whole file, only to name the line at
+    fault.
+    """
+    with open(path) as fh:
+        lines = fh.readlines()
+    option, first_row = _check_lines(lines, header_only=True)
+    if first_row == len(lines):
         raise ValueError("no data rows in Touchstone file")
-    unit, parameter, fmt, resistance = option
-    data = np.array(rows)
+    try:
+        data = np.loadtxt(lines[first_row:], comments="!", ndmin=2)
+        if data.shape[1] != 3:
+            raise ValueError(f"{data.shape[1]} columns")
+    except ValueError as exc:
+        _check_lines(lines)
+        raise ValueError(f"malformed data block: {exc}") from None
+    unit, parameter, fmt, resistance = option or ("GHZ", "S", "MA", 50.0)
     freq = data[:, 0] * _FREQ_UNITS[unit]
     s11_db = _to_db(fmt, data[:, 1], data[:, 2])
     return SParamTrace(

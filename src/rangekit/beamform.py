@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
-from . import rand
+from . import SPEED_OF_LIGHT, rand
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ scenario and seed (the manifest timestamp is the one exception).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -384,7 +385,10 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's argument parser, built once per process and reused by every
+    :func:`dispatch` call (parsing leaves the parser unchanged)."""
     parser = _Parser(
         prog="rangekit",
         description="Two-tone ranging accuracy, antenna phase-center and band metrics.",

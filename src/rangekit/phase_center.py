@@ -15,6 +15,16 @@ at each angle a small sliding window of the cut is fitted independently for
 both bands and the fitted centers are differenced.  Statistics over that
 series summarize how far apart the bands' phase centers sit, usually quoted
 as a fraction of the wavelength at the coherent-action frequency.
+
+All windows of a cut are fitted as one batch, from one unwrap of the whole
+cut.  That unwrap gives each window the same phases as unwrapping the
+window alone, up to one constant: ``np.unwrap`` corrects each sample by a
+multiple of 2*pi chosen from its step to the previous sample only, so two
+unwraps of the same samples differ by the sum of the corrections made before
+the window starts.  Subtracting that sum (the cut's unwrapped minus wrapped
+phase at the window's first sample) restores the window's own unwrap, so
+even phi0 matches a fit of the window alone.  A single fit over the beam
+region is the same computation with one window.
 """
 
 from __future__ import annotations
@@ -22,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
+
+from . import SPEED_OF_LIGHT
 
 DEFAULT_BEAM_REGION = (-30.0, 30.0)  # degrees, the 60 degree main-beam cone
 DEFAULT_WINDOW_DEG = 10.0
@@ -156,6 +167,64 @@ def point_source_cut(
     )
 
 
+# why a window cannot be fitted, in the order the checks run; 0 is a good fit
+_WINDOW_PROBLEMS = (
+    "",
+    "angular region must have positive width",
+    "fewer than 3 samples inside the beam region",
+    "rank-deficient fit: angular samples do not separate x0/z0/phi0",
+)
+# padded design rows per SVD batch (about 1.5 MB), so that the memory of a
+# finely sampled cut's window fits stays bounded
+_BATCH_ROWS = 1 << 16
+
+
+def _fit_windows(cut: FarFieldCut, lo, hi):
+    """Phase-center fits of ``cut`` over the windows ``lo[i] <= theta <= hi[i]``.
+
+    Returns ``(coef, rms, problem)``: ``coef[i]`` is (phi0, x0, z0),
+    ``rms[i]`` the residual RMS in radians, and ``problem[i]`` 0 for a good
+    fit or the index into ``_WINDOW_PROBLEMS`` of the first check the
+    window fails.  A failed window's coef and rms are meaningless.
+
+    Windows are solved as zero-padded batches of SVDs, each of at most
+    ``_BATCH_ROWS`` padded rows.  The rank check is lstsq's: singular values
+    above ``eps * max(m, 3) * s_max``, with m the window's own sample count.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    n = len(cut)
+    start = np.searchsorted(cut.theta_deg, lo, side="left")
+    count = np.searchsorted(cut.theta_deg, hi, side="right") - start
+    offsets = np.arange(max(int(count.max()), 3))
+
+    theta = np.deg2rad(cut.theta_deg)
+    k = 2.0 * np.pi * cut.frequency_hz / SPEED_OF_LIGHT
+    basis = np.column_stack([np.ones(n), k * np.sin(theta), k * np.cos(theta)])
+    wrapped = np.deg2rad(cut.phase_deg)
+    unwrapped = np.unwrap(wrapped)
+    # subtracted from a window's samples, restarts the unwrap at its first one
+    # (see the module docstring)
+    restart = (unwrapped - wrapped)[np.minimum(start, n - 1)]
+
+    coef, rms, rank = np.empty((len(lo), 3)), np.empty(len(lo)), np.empty(len(lo), dtype=int)
+    step = max(1, _BATCH_ROWS // len(offsets))
+    for w in (slice(i, i + step) for i in range(0, len(lo), step)):
+        inside = offsets < count[w, None]
+        idx = np.minimum(start[w, None] + offsets, n - 1)
+        design = np.where(inside[..., None], basis[idx], 0.0)
+        psi = np.where(inside, unwrapped[idx] - restart[w, None], 0.0)
+        u, sv, vt = np.linalg.svd(design, full_matrices=False)
+        kept = sv > (np.finfo(float).eps * np.maximum(count[w], 3) * sv[:, 0])[:, None]
+        proj = np.einsum("wmi,wm->wi", u, psi)
+        proj = np.divide(proj, sv, out=np.zeros_like(proj), where=kept)
+        coef[w] = np.einsum("wij,wi->wj", vt, proj)
+        resid = psi - np.einsum("wmj,wj->wm", design, coef[w])
+        rms[w] = np.sqrt(np.sum(resid**2, axis=1) / np.maximum(count[w], 1))
+        rank[w] = np.count_nonzero(kept, axis=1)
+    problem = np.select([~(hi > lo), count < 3, rank < 3], [1, 2, 3], 0)
+    return coef, rms, problem
+
+
 def fit_phase_center(cut: FarFieldCut, beam_region=DEFAULT_BEAM_REGION) -> PhaseCenterFit:
     """Least-squares phase-center fit over the given angular region.
 
@@ -165,23 +234,16 @@ def fit_phase_center(cut: FarFieldCut, beam_region=DEFAULT_BEAM_REGION) -> Phase
     and a full-rank design, i.e. enough angular diversity to separate the
     three parameters.
     """
-    mask = cut.region_mask(beam_region)
-    if np.count_nonzero(mask) < 3:
-        raise ValueError("fewer than 3 samples inside the beam region")
-    theta = np.deg2rad(cut.theta_deg[mask])
-    psi = np.unwrap(np.deg2rad(cut.phase_deg[mask]))
-    k = 2.0 * np.pi * cut.frequency_hz / SPEED_OF_LIGHT
-    design = np.column_stack([np.ones_like(theta), k * np.sin(theta), k * np.cos(theta)])
-    coef, _, rank, _ = np.linalg.lstsq(design, psi, rcond=None)
-    if rank < 3:
-        raise ValueError("rank-deficient fit: angular samples do not separate x0/z0/phi0")
-    resid = psi - design @ coef
+    lo, hi = beam_region
+    coef, rms, problem = _fit_windows(cut, [lo], [hi])
+    if problem[0]:
+        raise ValueError(_WINDOW_PROBLEMS[problem[0]])
     return PhaseCenterFit(
-        x0_m=float(coef[1]),
-        z0_m=float(coef[2]),
-        phi0_rad=float(coef[0]),
-        rms_residual_rad=float(np.sqrt(np.mean(resid**2))),
-        beam_region_deg=(float(beam_region[0]), float(beam_region[1])),
+        x0_m=float(coef[0, 1]),
+        z0_m=float(coef[0, 2]),
+        phi0_rad=float(coef[0, 0]),
+        rms_residual_rad=float(rms[0]),
+        beam_region_deg=(float(lo), float(hi)),
         frequency_hz=cut.frequency_hz,
     )
 
@@ -198,7 +260,8 @@ def displacement_series(
     cut_b's angular span, both cuts are fitted over a window of width
     ``window_deg`` centered there, and the fitted centers differenced
     (A minus B).  The window may extend past the beam-region edges; only
-    the evaluation angles are confined to it.
+    the evaluation angles are confined to it.  A window that cannot be
+    fitted raises ValueError naming the first such angle.
     """
     if cut_a.phi_cut_deg != cut_b.phi_cut_deg:
         raise ValueError("cuts must come from the same phi plane")
@@ -213,20 +276,19 @@ def displacement_series(
     if len(centers) == 0:
         raise ValueError("cuts have no overlapping angles inside the beam region")
     half = window_deg / 2.0
-    dx = np.empty(len(centers))
-    dz = np.empty(len(centers))
-    for i, center in enumerate(centers):
-        window = (center - half, center + half)
-        try:
-            fit_a = fit_phase_center(cut_a, window)
-            fit_b = fit_phase_center(cut_b, window)
-        except ValueError as exc:
-            raise ValueError(
-                f"window {window_deg:g} deg at theta {center:g} deg: {exc}"
-            ) from exc
-        dx[i] = fit_a.x0_m - fit_b.x0_m
-        dz[i] = fit_a.z0_m - fit_b.z0_m
-    return DisplacementSeries(theta_deg=centers.copy(), dx0_m=dx, dz0_m=dz)
+    (coef_a, _, problem_a), (coef_b, _, problem_b) = (
+        _fit_windows(cut, centers - half, centers + half) for cut in (cut_a, cut_b)
+    )
+    failed = np.flatnonzero(problem_a | problem_b)
+    if len(failed):
+        i = failed[0]
+        problem = problem_a[i] or problem_b[i]
+        raise ValueError(
+            f"window {window_deg:g} deg at theta {centers[i]:g} deg: "
+            f"{_WINDOW_PROBLEMS[problem]}"
+        )
+    diff = coef_a - coef_b
+    return DisplacementSeries(theta_deg=centers.copy(), dx0_m=diff[:, 1], dz0_m=diff[:, 2])
 
 
 def displacement_stats(series: DisplacementSeries) -> DisplacementStats:

@@ -36,9 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
-from . import rand
+from . import SPEED_OF_LIGHT, rand
 from .waveform import (
     SampledSignal,
     SpectrumModel,
@@ -73,6 +72,11 @@ class RangingScenario:
             raise ValueError("duration must be positive")
         rand.check_seed(self.seed)
         window = self.ambiguity_window()
+        if window > self.duration:
+            # lags past the record only repeat the circular correlation
+            raise ValueError(
+                f"ambiguity window {window:g} s is longer than the {self.duration:g} s record"
+            )
         if not (0.0 <= self.true_delay < window):
             raise ValueError(
                 f"true_delay {self.true_delay:g} s outside the unambiguous "

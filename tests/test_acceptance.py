@@ -9,9 +9,9 @@ import time
 
 import numpy as np
 import pytest
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from helpers import DIP_SPECS, three_dip_trace
+from rangekit import SPEED_OF_LIGHT
 from rangekit.antenna_metrics import find_bands, load_touchstone, write_touchstone
 from rangekit.beamform import CoherenceScenario, analytic_gain_fraction, coherent_gain
 from rangekit.cli import dispatch

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy.constants import c as SPEED_OF_LIGHT
 
+from rangekit import SPEED_OF_LIGHT
 from rangekit.beamform import (
     CoherenceScenario,
     CoherentGainReport,

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import three_dip_trace
+import rangekit
 from rangekit.antenna_metrics import write_touchstone
-from rangekit.cli import dispatch, parse_grid, parse_region
+from rangekit.cli import build_parser, dispatch, parse_grid, parse_region
 from rangekit.fileio import save_farfield_cuts
 from rangekit.geometry import load_dimensions, reference_dimensions, save_dimensions, validate
 from rangekit.phase_center import point_source_cut
@@ -218,6 +220,17 @@ def assert_one_error_line(capsys):
 def test_non_finite_grid_exits_1(tmp_path, capsys, argv):
     assert dispatch(argv + ["--trials", "10", "--out", str(tmp_path / "grid.csv")]) == 1
     assert_one_error_line(capsys)
+
+
+def test_window_longer_than_record_exits_1(tmp_path, capsys):
+    doc = json.loads(scenario_file(tmp_path, trials=10).read_text())
+    doc["waveform"]["separation_hz"] = 1e6  # 1 us window on a 0.25 us record
+    path = tmp_path / "long_window.json"
+    path.write_text(json.dumps(doc))
+    assert dispatch(["range-sim", "--scenario", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "rangekit: error: ambiguity window 1e-06 s is longer than the 2.5e-07 s record\n"
+    )
 
 
 def test_all_failed_range_sim_reports_null(tmp_path, capsys, monkeypatch):
@@ -515,6 +528,38 @@ def test_bench_tracer_finds_its_targets(tmp_path, capsys):
     names = {span[2] for span in tracer.spans}
     assert {"ranging.monte_carlo", "ranging.crlb_result", "fileio.dump_json"} <= names
     assert tracer.layer_metrics()["ranging.monte_carlo.calls"] == 1
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
+    # dispatch builds its parser once per process; no call may see an earlier one's flags
+    s1p = tmp_path / "sweep.s1p"
+    write_touchstone(three_dip_trace(step_hz=5e6), s1p)
+    cuts = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    save_farfield_cuts(point_source_cut(0.001, 0.006, 1.88e9, THETA), cuts[0])
+    save_farfield_cuts(point_source_cut(0.0, 0.001, 9.56e9, THETA), cuts[1])
+    pc = ["phase-center", "--cut", str(cuts[0]), "--cut", str(cuts[1])]
+    calls = [
+        ["s11-bands", "--in", str(s1p), "--threshold"],  # usage error: flag without a value
+        ["s11-bands", "--in", str(s1p)],
+        pc + ["--window", "6", "--beam", "-20:25"],
+        pc,
+    ]
+    in_process = []
+    for argv in calls:
+        code = dispatch(argv)
+        in_process.append((code, capsys.readouterr().out))
+    env = dict(os.environ, PYTHONPATH=str(Path(rangekit.__file__).parents[1]))
+    fresh = [
+        subprocess.run([sys.executable, "-m", "rangekit.cli", *argv],
+                       capture_output=True, text=True, timeout=60, env=env)
+        for argv in calls
+    ]
+    assert in_process == [(proc.returncode, proc.stdout) for proc in fresh]
+    assert [code for code, _ in in_process] == [1, 0, 0, 0]
+    narrow, default = (json.loads(out) for _, out in in_process[2:])
+    assert (narrow["window_deg"], narrow["beam_region_deg"]) == (6.0, [-20.0, 25.0])
+    assert (default["window_deg"], default["beam_region_deg"]) == (10.0, [-30.0, 30.0])
+    assert build_parser() is build_parser()
 
 
 def test_console_script_entry_point():

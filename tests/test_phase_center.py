@@ -1,10 +1,12 @@
 """Phase-center fit, displacement series and statistics tests."""
 
+import re
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
-from scipy.constants import c
+from numpy.testing import assert_allclose, assert_array_equal
 
+from rangekit import SPEED_OF_LIGHT, phase_center
 from rangekit.phase_center import (
     FarFieldCut,
     displacement_series,
@@ -77,7 +79,7 @@ def test_translation_equivariance():
     freq = 9.56e9
     cut = point_source_cut(0.001, 0.004, freq, THETAS, wrap=False)
     fit0 = fit_phase_center(cut)
-    k = 2 * np.pi * freq / c
+    k = 2 * np.pi * freq / SPEED_OF_LIGHT
     a, b = 0.0031, -0.0017
     theta = np.deg2rad(THETAS)
     shifted = FarFieldCut(
@@ -159,6 +161,124 @@ def test_displacement_series_errors():
         displacement_series(cut_a, cut_d, window_deg=1.5)  # < 3 samples per window
 
 
+def reference_fit(cut, lo, hi):
+    """One window fitted on its own: its own unwrap, then lstsq."""
+    mask = (cut.theta_deg >= lo) & (cut.theta_deg <= hi)
+    theta = np.deg2rad(cut.theta_deg[mask])
+    psi = np.unwrap(np.deg2rad(cut.phase_deg[mask]))
+    k = 2 * np.pi * cut.frequency_hz / SPEED_OF_LIGHT
+    design = np.column_stack([np.ones_like(theta), k * np.sin(theta), k * np.cos(theta)])
+    coef, _, rank, _ = np.linalg.lstsq(design, psi, rcond=None)
+    assert rank == 3
+    resid = psi - design @ coef
+    return coef, np.sqrt(np.mean(resid**2))
+
+
+def reference_series(cut_a, cut_b, window_deg, beam):
+    """displacement_series as a per-angle loop over reference_fit."""
+    lo, hi = max(beam[0], cut_b.theta_deg[0]), min(beam[1], cut_b.theta_deg[-1])
+    centers = cut_a.theta_deg[(cut_a.theta_deg >= lo) & (cut_a.theta_deg <= hi)]
+    half = window_deg / 2
+    diffs = np.array([
+        reference_fit(cut_a, c - half, c + half)[0] - reference_fit(cut_b, c - half, c + half)[0]
+        for c in centers
+    ])
+    return centers, diffs[:, 1], diffs[:, 2]
+
+
+def jittered(theta, rng):
+    """A non-uniform grid: each angle moved by up to 0.4 of a 1 degree step."""
+    return theta + rng.uniform(-0.4, 0.4, len(theta))
+
+
+@pytest.mark.parametrize(
+    "grid, window_deg, beam, batch_rows",
+    [
+        ("uniform", 10.0, (-30.0, 30.0), None),
+        ("non-uniform", 10.0, (-30.0, 30.0), None),
+        ("uniform", 12.0, (-90.0, 90.0), None),  # windows clipped at both ends of the cut
+        ("non-uniform", 7.0, (-90.0, 90.0), None),
+        ("non-uniform", 10.0, (-90.0, 90.0), 40),  # a few windows per SVD batch
+    ],
+)
+def test_displacement_series_matches_per_window_reference(
+    grid, window_deg, beam, batch_rows, monkeypatch
+):
+    if batch_rows is not None:
+        monkeypatch.setattr(phase_center, "_BATCH_ROWS", batch_rows)
+    rng = np.random.default_rng(21)
+    theta = np.arange(-40.0, 41.0)
+    theta_a, theta_b = (jittered(theta, rng), jittered(theta, rng)) if grid == "non-uniform" else (
+        theta, theta)
+    cut_a = noisy_copy(point_source_cut(0.03, 0.0192, 10.49e9, theta_a, phi0_rad=2.0), 3.0, rng)
+    cut_b = noisy_copy(point_source_cut(-0.0007, 0.0141, 1.88e9, theta_b), 3.0, rng)
+    series = displacement_series(cut_a, cut_b, window_deg=window_deg, beam_region=beam)
+    centers, dx, dz = reference_series(cut_a, cut_b, window_deg, beam)
+    assert_array_equal(series.theta_deg, centers)
+    assert_allclose(series.dx0_m, dx, rtol=0, atol=1e-12)
+    assert_allclose(series.dz0_m, dz, rtol=0, atol=1e-12)
+    # each window's own unwrap is restored, so phi0 and the residual match too
+    half = window_deg / 2
+    for cut in (cut_a, cut_b):
+        coef, rms, problem = phase_center._fit_windows(cut, centers - half, centers + half)
+        ref_coef, ref_rms = zip(*(reference_fit(cut, c - half, c + half) for c in centers))
+        assert not problem.any()
+        assert_allclose(coef, ref_coef, rtol=0, atol=1e-11)
+        assert_allclose(rms, ref_rms, rtol=1e-9)
+
+
+def test_fit_matches_reference_when_phase_wraps_inside_region():
+    # the phase wraps both before the region starts and inside it, so the
+    # region's unwrap starts at a non-zero multiple of 2 pi of the cut's
+    theta = np.arange(-90.0, 91.0)
+    cut = noisy_copy(point_source_cut(0.05, 0.0192, 10.49e9, theta), 3.0, np.random.default_rng(4))
+    region = (12.0, 47.0)
+    mask = (theta >= region[0]) & (theta <= region[1])
+    assert np.any(np.abs(np.diff(cut.phase_deg[mask])) > 180.0)
+    assert np.any(np.abs(np.diff(cut.phase_deg[theta < region[0]])) > 180.0)
+    fit = fit_phase_center(cut, region)
+    coef, rms = reference_fit(cut, *region)
+    assert fit.phi0_rad == pytest.approx(coef[0], rel=0, abs=1e-12)
+    assert fit.rms_residual_rad == pytest.approx(rms, rel=1e-12)
+    assert (fit.x0_m, fit.z0_m) == pytest.approx((coef[1], coef[2]), rel=0, abs=1e-12)
+
+
+def cut_on(theta, freq=9.56e9):
+    return point_source_cut(0.001, 0.01, freq, np.asarray(theta, dtype=float))
+
+
+CLUSTER = [20.0, 20.0 + 1e-10, 20.0 + 2e-10]  # three samples no fit can separate
+
+
+@pytest.mark.parametrize(
+    "theta_a, theta_b, message",
+    [
+        # band B has no samples in 9..11 deg: the window at 9 deg holds only 7 and 8
+        (np.arange(-30.0, 31.0), np.r_[-30:9, 12:31],
+         "window 4 deg at theta 9 deg: fewer than 3 samples inside the beam region"),
+        # band A's window at 20 deg holds only the cluster
+        (np.r_[-30:18, CLUSTER, 23:31], np.arange(-30.0, 31.0),
+         "window 4 deg at theta 20 deg: rank-deficient fit"),
+        # both bands fail at 20 deg; band A's problem is reported
+        (np.r_[-30:18, CLUSTER, 23:31], np.r_[-30:18, 20, 23:31],
+         "window 4 deg at theta 20 deg: rank-deficient fit"),
+        (np.r_[-30:18, 20, 23:31], np.r_[-30:18, CLUSTER, 23:31],
+         "window 4 deg at theta 20 deg: fewer than 3 samples"),
+        # band B fails at 9 deg, before band A's cluster at 20 deg
+        (np.r_[-30:18, CLUSTER, 23:31], np.r_[-30:9, 12:31],
+         "window 4 deg at theta 9 deg: fewer than 3 samples"),
+    ],
+)
+def test_window_errors_name_first_failing_center(theta_a, theta_b, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        displacement_series(cut_on(theta_a), cut_on(theta_b, 1.88e9), window_deg=4.0)
+
+
+def test_fit_rank_deficient_region():
+    with pytest.raises(ValueError, match="rank-deficient"):
+        fit_phase_center(cut_on(np.r_[-30:18, CLUSTER, 23:31]), beam_region=(19.0, 21.0))
+
+
 def test_displacement_stats_brute_force():
     rng = np.random.default_rng(5)
     from rangekit.phase_center import DisplacementSeries
@@ -202,6 +322,6 @@ def test_displacement_stats_constant_and_degenerate():
 def test_wavelength_fraction():
     assert wavelength_fraction(0.0141, 1.88e9) == pytest.approx(0.0884, abs=1e-4)
     assert wavelength_fraction(0.0, 1.88e9) == 0.0
-    assert wavelength_fraction(c / 1.88e9, 1.88e9) == pytest.approx(1.0, rel=1e-12)
+    assert wavelength_fraction(SPEED_OF_LIGHT / 1.88e9, 1.88e9) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
         wavelength_fraction(0.01, 0.0)

@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy.constants import c
 
-from rangekit import rand
+from rangekit import SPEED_OF_LIGHT, rand
 from rangekit.ranging import (
     RangingScenario,
     _lag_noise_factor,
@@ -65,7 +64,7 @@ def test_crlb_toa_monotone():
 def test_crlb_range_two_way_halving():
     var = crlb_toa(ZETA_500M, 16.0)
     one_way = crlb_range(var, two_way=False)
-    assert one_way == c * np.sqrt(var)
+    assert one_way == SPEED_OF_LIGHT * np.sqrt(var)
     assert crlb_range(var, two_way=True) == one_way / 2.0
     assert crlb_range(0.0, two_way=True) == 0.0
     with pytest.raises(ValueError):
@@ -152,6 +151,12 @@ def test_scenario_validation():
     for snr_db in (np.nan, -np.inf):
         with pytest.raises(ValueError, match="snr_db"):
             RangingScenario(ts, snr_db, 0.0, True, 4e9, 1e-6)
+    # 1/df = 1 us on a 0.25 us record: lags past the record repeat the correlation
+    with pytest.raises(ValueError, match="ambiguity window 1e-06 s is longer than the 2.5e-07 s"):
+        RangingScenario(ToneSet.two_tone(1e6), 16.0, 0.0, True, 4e9, 2.5e-7)
+    assert RangingScenario(ToneSet.two_tone(1e6), 16.0, 0.0, True, 4e9, 1e-6)  # window = record
+    single = ToneSet.from_pairs([(0.0, 1.0)])  # a single tone's window is the record itself
+    assert RangingScenario(single, 16.0, 1e-7, True, 4e9, 2.5e-7).ambiguity_window() == 2.5e-7
 
 
 def test_monte_carlo_noiseless_limit():
