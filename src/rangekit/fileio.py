@@ -22,6 +22,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -76,12 +77,62 @@ def save_farfield_cuts(cuts, path) -> None:
     _write_csv(path, FARFIELD_HEADER, rows)
 
 
+def _farfield_row_groups(reader) -> list:
+    """Read far-field rows one by one: ``(phi, frequency, rows)`` per group,
+    with ``rows`` an (m, 3) array of theta, magnitude and phase.  The first
+    row that breaks a rule raises ValueError naming it."""
+    groups = {}
+    last = None
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != 5:
+            raise ValueError(f"far-field row must have 5 columns: {row!r}")
+        theta, phi, freq, mag, phase = (float(v) for v in row)
+        if (phi, freq) != last:  # a new group; FarFieldCut checks the other columns
+            if not (math.isfinite(phi) and math.isfinite(freq)):
+                raise ValueError(f"far-field phi and frequency must be finite: {row!r}")
+            if (phi, freq) in groups:
+                raise ValueError(f"far-field rows of one group must appear together: {row!r}")
+            last = (phi, freq)
+            group = groups[last] = []
+        group.append((theta, mag, phase))
+    return [(phi, freq, np.array(rows)) for (phi, freq), rows in groups.items()]
+
+
+def _farfield_block_groups(fh):
+    """Parse the far-field rows left in ``fh`` with one ``np.loadtxt`` call;
+    the groups as :func:`_farfield_row_groups` gives them, or None when
+    ``np.loadtxt`` cannot read the block or the block breaks a rule."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt only warns about a block with no rows
+            data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    if data.shape[1] != 5 or not np.all(np.isfinite(data[:, 1:3])):
+        return None
+    key = data[:, 1:3]
+    starts = [0, *(1 + np.flatnonzero(np.any(key[1:] != key[:-1], axis=1))).tolist()]
+    keys = [tuple(k) for k in key[starts].tolist()]
+    if len(set(keys)) != len(keys):
+        return None  # a group resumes after another one
+    columns = data[:, [0, 3, 4]]
+    return [
+        (phi, freq, columns[a:b])
+        for (phi, freq), a, b in zip(keys, starts, starts[1:] + [len(data)])
+    ]
+
+
 def load_farfield_cuts(path) -> list:
     """Read far-field CSV, one FarFieldCut per (phi, frequency) group.
 
     Rows belonging to one group must appear together and with strictly
     increasing theta, and every value must be finite; anything else fails
-    validation.
+    validation.  The header is checked first and the rows are parsed by one
+    ``np.loadtxt`` call.  When that call fails or the rows break a rule, the
+    per-row reader reruns: it names the row at fault, or reads the values
+    that only ``float()`` takes, such as ``1_0``.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -91,37 +142,24 @@ def load_farfield_cuts(path) -> list:
             raise ValueError("empty far-field file")
         if [h.strip() for h in header] != FARFIELD_HEADER.split(","):
             raise ValueError(f"unexpected far-field header: {','.join(header)!r}")
-        groups = {}
-        last = None
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValueError(f"far-field row must have 5 columns: {row!r}")
-            theta, phi, freq, mag, phase = (float(v) for v in row)
-            if (phi, freq) != last:  # a new group; FarFieldCut checks the other columns
-                if not (math.isfinite(phi) and math.isfinite(freq)):
-                    raise ValueError(f"far-field phi and frequency must be finite: {row!r}")
-                if (phi, freq) in groups:
-                    raise ValueError(f"far-field rows of one group must appear together: {row!r}")
-                last = (phi, freq)
-                group = groups[last] = []
-            group.append((theta, mag, phase))
+        groups = _farfield_block_groups(fh)
+        if groups is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            groups = _farfield_row_groups(reader)
     if not groups:
         raise ValueError("far-field file contains no data rows")
-    cuts = []
-    for (phi, freq), rows in groups.items():
-        arr = np.array(rows)
-        cuts.append(
-            FarFieldCut(
-                phi_cut_deg=phi,
-                frequency_hz=freq,
-                theta_deg=arr[:, 0],
-                magnitude_db=arr[:, 1],
-                phase_deg=arr[:, 2],
-            )
+    return [
+        FarFieldCut(
+            phi_cut_deg=phi,
+            frequency_hz=freq,
+            theta_deg=rows[:, 0],
+            magnitude_db=rows[:, 1],
+            phase_deg=rows[:, 2],
         )
-    return cuts
+        for phi, freq, rows in groups
+    ]
 
 
 # ---------------------------------------------------------------------------

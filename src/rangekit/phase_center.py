@@ -265,8 +265,8 @@ def displacement_series(
     """
     if cut_a.phi_cut_deg != cut_b.phi_cut_deg:
         raise ValueError("cuts must come from the same phi plane")
-    if window_deg <= 0:
-        raise ValueError("window width must be positive")
+    if not (np.isfinite(window_deg) and window_deg > 0):
+        raise ValueError(f"window width must be finite and positive, got {window_deg:g} deg")
     lo, hi = beam_region
     if not (hi > lo):
         raise ValueError("beam region must have positive width")

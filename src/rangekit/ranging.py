@@ -28,11 +28,14 @@ RMSE so the bound comparison stays honest.  The Monte Carlo's per-trial
 cost does not depend on the record length: it draws the noise directly at
 the L ~ ``fs/df`` window lags, as r <= L complex normals, where r is the
 number of frequency bins the template occupies (2 for a two-tone record of
-whole cycles).
+whole cycles).  Its set-up is one template FFT plus O(r*L) work, and is
+reused while the waveform and the true delay stay the same, as they do
+down a sweep's SNR column.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +45,7 @@ from .waveform import (
     SampledSignal,
     SpectrumModel,
     ToneSet,
-    delay_signal,
+    delay_signal,  # noqa: F401 -- bench/tracer.py times ranging.delay_signal
     mean_squared_bandwidth,
     synth_two_tone,
 )
@@ -193,28 +196,44 @@ def _refine_peaks(env: np.ndarray, lags: np.ndarray, sample_rate: float) -> np.n
     return (lags[local] + p) / sample_rate
 
 
-def _correlate(x: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """Circular cross-correlation ``sum_m x[m] conj(template[m - l])`` at every lag l."""
-    return np.fft.ifft(np.fft.fft(x) * np.conj(np.fft.fft(template)))
+@functools.lru_cache(maxsize=1)
+def _window_setup(tones: ToneSet, duration: float, sample_rate: float, true_delay: float,
+                  window: float):
+    """Lags, clean correlation and unit noise factor of the Monte Carlo over
+    the delay window ``(0, window)``, all from one FFT of the template.
 
+    With ``T_k`` the template's FFT and ``P_k = |T_k|^2 / n`` kept for every
+    bin above rounding, both results are sums over the phasors
+    ``exp(2j pi k l / n)`` at the window's ``lags``:
 
-def _lag_noise_factor(template: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """Factor ``F`` (r, L) with ``F.T @ F.conj() == G``, the covariance at
-    the L ``lags`` of unit-variance complex white noise correlated against
-    ``template``, so that ``z @ F`` for r standard complex normals is that
-    noise, exactly.
+    - ``clean[l] = sum_k P_k exp(-2j pi f_k tau) exp(2j pi k l / n)`` is the
+      circular cross-correlation of the template delayed by ``tau`` against
+      the template itself;
+    - row k of ``unit_factor`` is the phasor scaled by ``sqrt(P_k)``, so that
+      ``unit_factor.T @ unit_factor.conj()`` is ``G``, the covariance at the
+      lags of unit-variance complex white noise correlated against the
+      template, and ``z @ unit_factor`` for r standard complex normals is
+      that noise, exactly.  More than L rows are reduced to L by a QR, which
+      leaves ``G`` unchanged.
 
-    ``G[i, j] = a((l_i - l_j) mod n)``, ``a`` being the template's circular
-    autocorrelation, is the sum over bins k of ``|T_k|^2 / n`` times the
-    outer product of the phasors ``exp(2j pi k l / n)``.  Row k of ``F`` is
-    that phasor scaled by ``|T_k| / sqrt(n)``, for every bin above rounding;
-    more than L rows are reduced to L by a QR, which leaves ``G`` unchanged."""
+    Neither depends on the SNR, so the last result is cached: the SNR column
+    of a sweep, or repeated runs of one scenario, set up once.  The returned
+    arrays are read-only.
+    """
+    template = synth_two_tone(tones, duration, sample_rate).samples
     n = len(template)
+    lags = _search_lags(sample_rate, (0.0, window))
     power = np.abs(np.fft.fft(template)) ** 2 / n
     bins = np.flatnonzero(power > power.max() * np.finfo(float).eps)
-    factor = np.exp((2j * np.pi / n) * (np.outer(bins, lags) % n))
-    factor *= np.sqrt(power[bins])[:, np.newaxis]
-    return factor if len(bins) <= len(lags) else np.linalg.qr(factor, mode="r")
+    phasors = np.exp((2j * np.pi / n) * (np.outer(bins, lags) % n))
+    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)[bins]
+    clean = (power[bins] * np.exp(-2j * np.pi * freqs * true_delay)) @ phasors
+    unit_factor = np.sqrt(power[bins])[:, np.newaxis] * phasors
+    if len(bins) > len(lags):
+        unit_factor = np.linalg.qr(unit_factor, mode="r")
+    for array in (lags, clean, unit_factor):
+        array.flags.writeable = False
+    return lags, clean, unit_factor
 
 
 def ml_toa_estimate(rx: SampledSignal, template: SampledSignal, search_window=None) -> float:
@@ -233,7 +252,8 @@ def ml_toa_estimate(rx: SampledSignal, template: SampledSignal, search_window=No
         raise ValueError("rx and template must have the same length")
     if template.energy == 0:
         raise ValueError("template has zero energy")
-    env = np.abs(_correlate(rx.samples, template.samples))
+    # circular cross-correlation sum_m rx[m] conj(template[m - l]) at every lag l
+    env = np.abs(np.fft.ifft(np.fft.fft(rx.samples) * np.conj(np.fft.fft(template.samples))))
     if np.max(env) == 0.0:
         raise ValueError("degenerate correlation: all zeros")
     window = (0.0, rx.duration) if search_window is None else search_window
@@ -258,23 +278,23 @@ def monte_carlo(scenario: RangingScenario, trials: int, workers: int = 1) -> Mon
     module SNR convention) to the delayed template and estimates the delay
     from the correlation at the window's ``fs/df`` + 2 lags.  That noise is
     drawn there directly, as r <= L complex normals times the factor of
-    :func:`_lag_noise_factor`, so the per-trial cost is O(r*L) whatever the
-    record length.  Set-up is one template FFT, plus an O(n*L^2) QR when the
-    template's spectrum is spread over more than L bins.  Trials whose
-    error exceeds half the ambiguity spacing are failures, excluded from the
-    RMSE.  Noise is drawn per block of :data:`rand.BLOCK_TRIALS` trials from
-    a generator keyed by (scenario.seed, block start), so the report is
-    bit-identical for any worker count.
+    :func:`_window_setup`, so the per-trial cost is O(r*L) whatever the
+    record length.  Set-up is one template FFT plus O(r*L) work (and an
+    O(n*L^2) QR when the template's spectrum is spread over more than L
+    bins); it does not depend on the SNR and is reused while the waveform
+    and true delay are unchanged.  Trials whose error exceeds half the
+    ambiguity spacing are failures, excluded from the RMSE.  Noise is drawn
+    per block of :data:`rand.BLOCK_TRIALS` trials from a generator keyed by
+    (scenario.seed, block start), so the report is bit-identical for any
+    worker count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    template = scenario.template()
-    rx_clean = delay_signal(template, scenario.true_delay).samples
     fs = scenario.sample_rate
-    lags = _search_lags(fs, (0.0, scenario.ambiguity_window()))
-    clean = _correlate(rx_clean, template.samples)[lags % len(template)]
-    scale = _noise_sigma(scenario.snr_db, fs) / np.sqrt(2.0)
-    factor = scale * _lag_noise_factor(template.samples, lags)
+    lags, clean, unit_factor = _window_setup(
+        scenario.tones, scenario.duration, fs, scenario.true_delay, scenario.ambiguity_window()
+    )
+    factor = _noise_sigma(scenario.snr_db, fs) / np.sqrt(2.0) * unit_factor
 
     def run_block(block: range) -> np.ndarray:
         rng = rand.trial_generator(scenario.seed, block.start)

@@ -296,6 +296,19 @@ def test_phase_center_end_to_end(tmp_path, capsys):
     assert len(manifest["inputs"]) == 2
 
 
+@pytest.mark.parametrize("window", ["inf", "nan", "0"])
+def test_phase_center_non_finite_window_exits_1(tmp_path, capsys, window):
+    paths = []
+    for name, freq in (("a.csv", 1.88e9), ("b.csv", 9.56e9)):
+        paths += ["--cut", str(tmp_path / name)]
+        save_farfield_cuts(point_source_cut(0.0, 0.0, freq, THETA), tmp_path / name)
+    out = tmp_path / "pc.csv"
+    assert dispatch(["phase-center", *paths, "--window", window, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("rangekit: error: window width must be finite")
+    assert not out.exists()
+
+
 def test_phase_center_needs_two_cuts(tmp_path, capsys):
     cut = point_source_cut(0.0, 0.0, 1.88e9, THETA)
     path = tmp_path / "one.csv"

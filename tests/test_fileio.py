@@ -1,6 +1,7 @@
 """File format tests: far-field CSV, plot CSVs, scenario JSON, manifests."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,72 @@ def test_farfield_load_errors(tmp_path):
         non_finite.write_text(f"{FARFIELD_HEADER}\n0,0,1e9,0,0\n{bad_row}\n2,0,1e9,0,0\n")
         with pytest.raises(ValueError, match="finite"):
             load_farfield_cuts(non_finite)
+
+
+GOOD_ROWS = "0,0,1e9,0,0\n1,0,1e9,0,0\n2,0,1e9,0,0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty far-field file"),
+        ("theta,phi,freq,mag,phase\n0,0,1e9,0,0\n",
+         "unexpected far-field header: 'theta,phi,freq,mag,phase'"),
+        ("\n" + FARFIELD_HEADER + "\n", "unexpected far-field header: ''"),
+        (FARFIELD_HEADER + "\n", "far-field file contains no data rows"),
+        (FARFIELD_HEADER + "\n\n\n", "far-field file contains no data rows"),
+        (FARFIELD_HEADER + "\n0,0,1e9,0\n",
+         "far-field row must have 5 columns: ['0', '0', '1e9', '0']"),
+        (FARFIELD_HEADER + "\n" + GOOD_ROWS + "3,0,1e9,0,0,\n",
+         "far-field row must have 5 columns: ['3', '0', '1e9', '0', '0', '']"),
+        (FARFIELD_HEADER + "\n" + GOOD_ROWS + "   \n",
+         "far-field row must have 5 columns: ['   ']"),
+        (FARFIELD_HEADER + "\n" + GOOD_ROWS + "# note\n",
+         "far-field row must have 5 columns: ['# note']"),
+        (FARFIELD_HEADER + "\n" + GOOD_ROWS + "3,0,1e9,x,0\n",
+         "could not convert string to float: 'x'"),
+        (FARFIELD_HEADER + "\n" + GOOD_ROWS + "3,0,1e9,,0\n",
+         "could not convert string to float: ''"),
+        (FARFIELD_HEADER + "\n" + GOOD_ROWS + "3,nan,1e9,0,0\n",
+         "far-field phi and frequency must be finite: ['3', 'nan', '1e9', '0', '0']"),
+        (FARFIELD_HEADER + "\n" + GOOD_ROWS + "3,0,-inf,0,0\n",
+         "far-field phi and frequency must be finite: ['3', '0', '-inf', '0', '0']"),
+        (FARFIELD_HEADER + "\n" + GOOD_ROWS + "0,0,2e9,0,0\n3,0,1e9,0,0\n",
+         "far-field rows of one group must appear together: ['3', '0', '1e9', '0', '0']"),
+        (FARFIELD_HEADER + "\n" + GOOD_ROWS + "3,0,1e9,nan,0\n",
+         "far-field cut magnitude_db must be finite"),
+        (FARFIELD_HEADER + "\n2,0,1e9,0,0\n1,0,1e9,0,0\n3,0,1e9,0,0\n",
+         "theta samples must be strictly increasing"),
+        (FARFIELD_HEADER + "\n0,0,1e9,0,0\n1,0,1e9,0,0\n",
+         "a far-field cut needs at least 3 samples"),
+        (FARFIELD_HEADER + "\n" + GOOD_ROWS.replace("1e9", "-1e9"),
+         "cut frequency must be positive"),
+    ],
+    ids=["empty", "header", "blank-header", "no-rows", "blank-rows", "short-row",
+         "long-row", "blank-cells-row", "comment-row", "not-a-number", "empty-cell", "nan-phi",
+         "inf-frequency", "interleaved", "nan-magnitude", "theta-order", "too-few",
+         "negative-frequency"],
+)
+def test_farfield_load_error_messages(tmp_path, text, message):
+    path = tmp_path / "cut.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_farfield_cuts(path)
+
+
+def test_farfield_load_quoted_blank_and_crlf(tmp_path):
+    path = tmp_path / "cut.csv"
+    path.write_bytes(
+        b'"theta_deg", phi_deg,frequency_hz,magnitude_db,phase_deg\r\n'
+        b'\r\n"0",0,1e9,-1.5,10\r\n1,0,"1e9",-2.5, 20\r\n\r\n2,0,1e9,-3.5,"30"\r\n'
+        b'0,90,1e9,0,0\n1,90,1e9,0,0\n1_5,90,1e9,0,0\n'  # float() reads 1_5, loadtxt does not
+    )
+    a, b = load_farfield_cuts(path)
+    assert (a.phi_cut_deg, a.frequency_hz, b.phi_cut_deg) == (0.0, 1e9, 90.0)
+    assert_array_equal(a.theta_deg, [0.0, 1.0, 2.0])
+    assert_array_equal(a.magnitude_db, [-1.5, -2.5, -3.5])
+    assert_array_equal(a.phase_deg, [10.0, 20.0, 30.0])
+    assert_array_equal(b.theta_deg, [0.0, 1.0, 15.0])
 
 
 @pytest.mark.parametrize(

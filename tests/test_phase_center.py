@@ -159,6 +159,9 @@ def test_displacement_series_errors():
     cut_d = point_source_cut(0.0, 0.0, 1.88e9, THETAS)
     with pytest.raises(ValueError):
         displacement_series(cut_a, cut_d, window_deg=1.5)  # < 3 samples per window
+    for window_deg in (0.0, -5.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="window width must be finite and positive"):
+            displacement_series(cut_a, cut_d, window_deg=window_deg)
 
 
 def reference_fit(cut, lo, hi):

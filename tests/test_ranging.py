@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from rangekit import SPEED_OF_LIGHT, rand
+from rangekit.cli import dispatch
 from rangekit.ranging import (
     RangingScenario,
-    _lag_noise_factor,
     _noise_sigma,
     _refine_peaks,
     _search_lags,
+    _window_setup,
     crlb_range,
     crlb_result,
     crlb_toa,
+    delay_to_range,
     equivalent_accuracy_tradeoff,
     ml_toa_estimate,
     monte_carlo,
@@ -170,16 +173,27 @@ def test_monte_carlo_noiseless_limit():
         monte_carlo(sc, 0)
 
 
+# a 1 us record holds a whole number of cycles of both tones and occupies two
+# bins; a 250 ns one does not, so every bin is occupied and the QR path runs
+TONE_CASES = {
+    "1us": (ToneSet.two_tone(5e8), 1e-6),
+    "250ns": (ToneSet.two_tone(5e8), 2.5e-7),
+    # unequal amplitudes make the covariance genuinely complex
+    "1us-unequal": (ToneSet.from_pairs([(-2.5e8, 1.0), (2.5e8, 0.5)]), 1e-6),
+}
+
+
 @pytest.mark.parametrize("delay", [0.0, 0.6e-9, 1.3e-9])
 def test_monte_carlo_matches_fft_reference(delay):
     # the Monte Carlo correlates at the window lags only; without noise it
     # must agree with the whole-record FFT search of ml_toa_estimate
-    sc = RangingScenario(ToneSet.two_tone(5e8), np.inf, delay, True, 4e9, 1e-6)
-    tpl = sc.template()
-    ref = ml_toa_estimate(delay_signal(tpl, delay), tpl, (0.0, 1.0 / 5e8))
-    rep = monte_carlo(sc, 3)
-    assert rep.failures == 0
-    assert abs(rep.bias_tau + delay - ref) * 4e9 < 1e-9
+    for tones, duration in TONE_CASES.values():
+        sc = RangingScenario(tones, np.inf, delay, True, 4e9, duration)
+        tpl = sc.template()
+        ref = ml_toa_estimate(delay_signal(tpl, delay), tpl, (0.0, 1.0 / 5e8))
+        rep = monte_carlo(sc, 3)
+        assert rep.failures == 0
+        assert abs(rep.bias_tau + delay - ref) * 4e9 < 1e-9
 
 
 def test_monte_carlo_near_bound():
@@ -233,24 +247,47 @@ def test_monte_carlo_failure_count_at_low_snr():
     assert rep.rmse_tau < 0.5e-9
 
 
-@pytest.mark.parametrize(
-    "tones, duration, rank",
-    [
-        (ToneSet.two_tone(5e8), 1e-6, 2),
-        (ToneSet.two_tone(5e8), 2.5e-7, 10),
-        # unequal amplitudes make the covariance genuinely complex
-        (ToneSet.from_pairs([(-2.5e8, 1.0), (2.5e8, 0.5)]), 1e-6, 2),
-    ],
-    ids=["1us", "250ns", "1us-unequal"],
-)
-def test_lag_noise_factor_matches_sample_domain_gram(tones, duration, rank):
+@pytest.mark.parametrize("tones, duration", TONE_CASES.values(), ids=TONE_CASES.keys())
+def test_lag_noise_factor_matches_sample_domain_gram(tones, duration):
+    delay = 0.6e-9
     tpl = synth_two_tone(tones, duration, 4e9).samples
-    lags = _search_lags(4e9, (0.0, 2e-9))
+    lags, clean, factor = _window_setup(tones, duration, 4e9, delay, 2e-9)
+    assert_array_equal(lags, _search_lags(4e9, (0.0, 2e-9)))
     shifted = shifted_template(tpl, lags)
     gram = shifted.T @ shifted.conj()
-    factor = _lag_noise_factor(tpl, lags)
-    assert factor.shape == (rank, len(lags))
+    # r = 2 occupied bins, or every bin reduced to L rows
+    assert factor.shape == (2 if duration == 1e-6 else len(lags), len(lags))
     assert np.max(np.abs(factor.T @ factor.conj() - gram)) <= 1e-9 * np.max(np.abs(gram))
+    reference = delay_signal(synth_two_tone(tones, duration, 4e9), delay).samples @ shifted
+    assert np.max(np.abs(clean - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_window_setup_reused_across_snr(tmp_path, capsys):
+    def run(snr_db):
+        sc = RangingScenario(ToneSet.two_tone(5e8), snr_db, 0.6e-9, False, 4e9, 2.5e-7, seed=5)
+        return monte_carlo(sc, 600)
+
+    first, _, third = run(30.0), run(10.0), run(30.0)
+    assert first == third
+    for array in _window_setup(ToneSet.two_tone(5e8), 2.5e-7, 4e9, 0.6e-9, 2e-9):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+    # a sweep cell served from the cache equals the same cell set up afresh
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--delta-f", "2.5e8:2.5e8:5e8", "--snr", "10:10:30", "--trials", "300",
+            "--duration", "2.5e-7", "--seed", "3", "--out", str(out), "--quiet"]
+    assert dispatch(argv) == 0
+    capsys.readouterr()
+    row = out.read_text().splitlines()[2].split(",")  # 250 MHz at 20 dB
+    assert (float(row[0]), float(row[1])) == (2.5e8, 20.0)
+    _window_setup.cache_clear()
+    sc = RangingScenario(ToneSet.two_tone(2.5e8), 20.0, 0.3 / 2.5e8, False, 4e9, 2.5e-7, seed=3)
+    rep = monte_carlo(sc, 300)
+    assert float(row[3]) == delay_to_range(rep.rmse_tau, False)
+    assert float(row[4]) == rep.crlb_ratio
+    assert int(row[5]) == rep.failures
 
 
 # a 1 us record holds a whole number of cycles of both tones, a 250 ns one does not
