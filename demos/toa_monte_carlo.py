@@ -9,7 +9,7 @@ separately rather than folded into the rmse.
 """
 
 from rangekit import SPEED_OF_LIGHT
-from rangekit.ranging import RangingScenario, crlb_result, monte_carlo
+from rangekit.ranging import RangingScenario, crlb_result, monte_carlo_column
 from rangekit.waveform import ToneSet
 
 SEP = 500e6
@@ -26,13 +26,16 @@ scenario_args = dict(
 
 print(f"two tones {SEP / 1e6:.0f} MHz apart, {TRIALS} trials per SNR")
 print(f"{'SNR (dB)':>8} {'bound (mm)':>11} {'rmse (mm)':>10} {'rmse^2/bound':>13} {'failures':>9}")
-for snr_db in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
-    sc = RangingScenario(snr_db=snr_db, **scenario_args)
-    rep = monte_carlo(sc, TRIALS, workers=4)
-    bound = crlb_result(sc.zeta_f2(), snr_db, sc.two_way)
+# one Monte Carlo column: every SNR scales the same noise draws
+column = [
+    RangingScenario(snr_db=snr_db, **scenario_args)
+    for snr_db in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+]
+for sc, rep in zip(column, monte_carlo_column(column, TRIALS, workers=4)):
+    bound = crlb_result(sc.zeta_f2(), sc.snr_db, sc.two_way)
     rmse_mm = rep.rmse_tau * SPEED_OF_LIGHT * 1e3
     print(
-        f"{snr_db:>8.0f} {bound.std_range * 1e3:>11.3f} {rmse_mm:>10.3f}"
+        f"{sc.snr_db:>8.0f} {bound.std_range * 1e3:>11.3f} {rmse_mm:>10.3f}"
         f" {rep.crlb_ratio:>13.3f} {rep.failures:>9d}"
     )
 

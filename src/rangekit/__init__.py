@@ -41,6 +41,7 @@ from .ranging import (
     equivalent_accuracy_tradeoff,
     ml_toa_estimate,
     monte_carlo,
+    monte_carlo_column,
 )
 from .phase_center import (
     FarFieldCut,
@@ -98,6 +99,7 @@ __all__ = [
     "equivalent_accuracy_tradeoff",
     "ml_toa_estimate",
     "monte_carlo",
+    "monte_carlo_column",
     "FarFieldCut",
     "PhaseCenterFit",
     "DisplacementSeries",

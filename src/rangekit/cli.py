@@ -22,7 +22,13 @@ import numpy as np
 from . import __version__, beamform, fileio, geometry
 from .antenna_metrics import find_bands, gain_beam_stats, load_touchstone
 from .phase_center import displacement_series, displacement_stats
-from .ranging import RangingScenario, crlb_result, delay_to_range, monte_carlo
+from .ranging import (
+    RangingScenario,
+    crlb_result,
+    delay_to_range,
+    monte_carlo,
+    monte_carlo_column,
+)
 from .waveform import (
     SpectrumModel,
     ToneSet,
@@ -54,8 +60,12 @@ class _UsageError(ValueError):
         self.parser = parser
 
 
+MAX_GRID_POINTS = 1_000_000
+
+
 def parse_grid(text: str) -> np.ndarray:
-    """Inclusive arithmetic grid from 'start:step:stop'."""
+    """Inclusive arithmetic grid from 'start:step:stop': finite, strictly
+    increasing and at most :data:`MAX_GRID_POINTS` long."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:step:stop, got {text!r}")
@@ -66,8 +76,17 @@ def parse_grid(text: str) -> np.ndarray:
         raise ValueError("grid step must be positive")
     if stop < start:
         raise ValueError("grid stop must be >= start")
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(n)
+    if stop - start == np.inf:
+        raise ValueError(f"grid span of {text!r} exceeds the largest float")
+    count = (stop - start) / step + 1e-9
+    if not count < MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    grid = start + step * np.arange(int(np.floor(count)) + 1)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"grid {text!r} runs past the largest float")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError(f"grid step of {text!r} is below the float spacing of its points")
+    return grid
 
 
 def parse_region(text: str) -> tuple:
@@ -148,18 +167,13 @@ def _cmd_waveform(args) -> int:
     return 0
 
 
-def _run_ranging(scenario, trials, workers):
-    """Monte Carlo report, accuracy bound and Monte Carlo range rmse of one scenario."""
-    report = monte_carlo(scenario, trials, workers=workers)
-    bound = crlb_result(scenario.zeta_f2(), scenario.snr_db, scenario.two_way)
-    return report, bound, delay_to_range(report.rmse_tau, scenario.two_way)
-
-
 def _cmd_range_sim(args) -> int:
     config = fileio.load_scenario(args.scenario)
     scenario = config.ranging_scenario(seed=args.seed)
     trials = args.trials if args.trials is not None else config.ranging.trials
-    report, bound, mc_rmse_range_m = _run_ranging(scenario, trials, args.workers)
+    report = monte_carlo(scenario, trials, workers=args.workers)
+    bound = crlb_result(scenario.zeta_f2(), scenario.snr_db, scenario.two_way)
+    mc_rmse_range_m = delay_to_range(report.rmse_tau, scenario.two_way)
     doc = {
         "scenario": {
             "tone_frequencies_hz": [float(f) for f in scenario.tones.frequencies],
@@ -339,26 +353,32 @@ def _cmd_geometry(args) -> int:
 def _cmd_sweep(args) -> int:
     separations = parse_grid(args.delta_f)
     snrs = parse_grid(args.snr)
-    points = []
+    # every cell is validated before the first Monte Carlo runs
+    columns = []
     for sep in separations:
-        true_delay = args.delay_fraction / sep
-        for snr in snrs:
-            scenario = RangingScenario(
-                tones=ToneSet.two_tone(sep),
+        tones = ToneSet.two_tone(sep)
+        columns.append([
+            RangingScenario(
+                tones=tones,
                 snr_db=float(snr),
-                true_delay=true_delay,
+                true_delay=args.delay_fraction / sep,
                 two_way=args.two_way,
                 sample_rate=args.sample_rate,
                 duration=args.duration,
                 seed=args.seed,
             )
-            report, bound, mc_rmse_range_m = _run_ranging(scenario, args.trials, args.workers)
+            for snr in snrs
+        ])
+    points = []
+    for sep, column in zip(separations, columns):
+        zeta_f2 = column[0].zeta_f2()  # one tone pair per column
+        for scenario, report in zip(column, monte_carlo_column(column, args.trials, args.workers)):
             points.append(
                 fileio.SweepPoint(
                     delta_f_hz=float(sep),
-                    snr_db=float(snr),
-                    crlb_std_range_m=bound.std_range,
-                    mc_rmse_range_m=mc_rmse_range_m,
+                    snr_db=scenario.snr_db,
+                    crlb_std_range_m=crlb_result(zeta_f2, scenario.snr_db, args.two_way).std_range,
+                    mc_rmse_range_m=delay_to_range(report.rmse_tau, args.two_way),
                     crlb_ratio=report.crlb_ratio,
                     failures=report.failures,
                 )

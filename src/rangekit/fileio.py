@@ -204,7 +204,12 @@ class SweepPoint:
 def write_sweep_csv(points, path) -> None:
     if len(points) == 0:
         raise ValueError("empty sweep")
-    _write_csv(path, SWEEP_HEADER, (astuple(p) for p in points))
+    _write_csv(
+        path,
+        SWEEP_HEADER,
+        ((p.delta_f_hz, p.snr_db, p.crlb_std_range_m, p.mc_rmse_range_m, p.crlb_ratio, p.failures)
+         for p in points),
+    )
 
 
 def write_coherence_grid_csv(rows, path) -> None:

@@ -29,8 +29,11 @@ cost does not depend on the record length: it draws the noise directly at
 the L ~ ``fs/df`` window lags, as r <= L complex normals, where r is the
 number of frequency bins the template occupies (2 for a two-tone record of
 whole cycles).  Its set-up is one template FFT plus O(r*L) work, and is
-reused while the waveform and the true delay stay the same, as they do
-down a sweep's SNR column.
+reused while the waveform and the true delay stay the same.  Scenarios that
+differ only in SNR, as down a sweep's SNR column, share their noise stream:
+:func:`monte_carlo_column` draws each block's normals once and scales them
+by every SNR in turn, giving the reports of separate :func:`monte_carlo`
+calls bit for bit.
 """
 
 from __future__ import annotations
@@ -166,14 +169,6 @@ def equivalent_accuracy_tradeoff(df1: float, snr1_db: float, df2: float) -> floa
     return snr1_db - 20.0 * np.log10(df2 / df1)
 
 
-def _parabolic_offset(y_m1: np.ndarray, y_0: np.ndarray, y_p1: np.ndarray) -> np.ndarray:
-    """Vertex offset in (-1, 1) of the parabola through three equispaced points."""
-    denom = 2.0 * (2.0 * y_0 - y_p1 - y_m1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(denom != 0.0, (y_p1 - y_m1) / denom, 0.0)
-    return np.clip(p, -1.0, 1.0)
-
-
 def _search_lags(sample_rate: float, search_window) -> np.ndarray:
     """Integer lags of a search window ``(lo, hi)`` in seconds plus one
     neighbour on each side, contiguous (not reduced modulo the record)."""
@@ -189,10 +184,20 @@ def _search_lags(sample_rate: float, search_window) -> np.ndarray:
 
 def _refine_peaks(env: np.ndarray, lags: np.ndarray, sample_rate: float) -> np.ndarray:
     """Sub-sample peak (s) per row of an envelope whose columns are ``lags``;
-    the first and last column only serve as neighbours of the peak."""
-    rows = np.arange(env.shape[0])
+    the first and last column only serve as neighbours of the peak.
+
+    The peak moves by the vertex offset, clipped to [-1, 1], of the parabola
+    through the peak and its two neighbours (0 when they are collinear).
+    """
+    rows, width = env.shape
     local = 1 + np.argmax(env[:, 1:-1], axis=1)
-    p = _parabolic_offset(env[rows, local - 1], env[rows, local], env[rows, local + 1])
+    peak = local + width * np.arange(rows)
+    flat = env.ravel()
+    y_m1, y_0, y_p1 = flat[peak - 1], flat[peak], flat[peak + 1]
+    denom = 2.0 * (2.0 * y_0 - y_p1 - y_m1)
+    p = np.divide(y_p1 - y_m1, denom, out=np.zeros(rows), where=denom != 0.0)
+    np.minimum(p, 1.0, out=p)
+    np.maximum(p, -1.0, out=p)
     return (lags[local] + p) / sample_rate
 
 
@@ -286,24 +291,57 @@ def monte_carlo(scenario: RangingScenario, trials: int, workers: int = 1) -> Mon
     ambiguity spacing are failures, excluded from the RMSE.  Noise is drawn
     per block of :data:`rand.BLOCK_TRIALS` trials from a generator keyed by
     (scenario.seed, block start), so the report is bit-identical for any
-    worker count.
+    worker count.  This is the one-scenario call of
+    :func:`monte_carlo_column`, and its report equals that scenario's report
+    from any column it belongs to.
+    """
+    return monte_carlo_column([scenario], trials, workers)[0]
+
+
+def monte_carlo_column(scenarios, trials: int, workers: int = 1) -> list[MonteCarloReport]:
+    """:func:`monte_carlo` for scenarios that differ only in ``snr_db``, as
+    down one tone separation of a sweep; returns one report per scenario.
+
+    Every scenario keys its noise by the same (seed, block start), so each
+    block draws its standard normals once and scales them by every SNR in
+    turn.  The reports are bit-identical to separate :func:`monte_carlo`
+    calls, and they share one noise draw: differences between them are not
+    independent samples.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    fs = scenario.sample_rate
+    if len(scenarios) == 0:
+        raise ValueError("no scenarios to simulate")
+    first = scenarios[0]
+    shared = {**vars(first), "snr_db": None}
+    if any({**vars(sc), "snr_db": None} != shared for sc in scenarios[1:]):
+        raise ValueError("a column's scenarios must differ only in snr_db")
+    fs = first.sample_rate
     lags, clean, unit_factor = _window_setup(
-        scenario.tones, scenario.duration, fs, scenario.true_delay, scenario.ambiguity_window()
+        first.tones, first.duration, fs, first.true_delay, first.ambiguity_window()
     )
-    factor = _noise_sigma(scenario.snr_db, fs) / np.sqrt(2.0) * unit_factor
+    scales = [_noise_sigma(sc.snr_db, fs) / np.sqrt(2.0) for sc in scenarios]
 
     def run_block(block: range) -> np.ndarray:
-        rng = rand.trial_generator(scenario.seed, block.start)
-        z = rng.standard_normal((len(block), 2 * len(factor))).view(complex)
-        return _refine_peaks(np.abs(clean + z @ factor), lags, fs)
+        rng = rand.trial_generator(first.seed, block.start)
+        z = rng.standard_normal((len(block), 2 * len(unit_factor))).view(complex)
+        tau = np.empty((len(block), len(scales)))
+        for j, scale in enumerate(scales):  # one (k, L) envelope at a time bounds the block's memory
+            tau[:, j] = _refine_peaks(np.abs(clean + z @ (scale * unit_factor)), lags, fs)
+        return tau
 
-    err = rand.run_trials(run_block, trials, workers) - scenario.true_delay
-    sep = scenario.tones.separation
+    err = rand.run_trials(run_block, trials, workers) - first.true_delay
+    sep = first.tones.separation
     fail_threshold = 0.5 / sep if sep > 0 else np.inf
+    zeta_f2 = first.zeta_f2()
+    return [
+        _report(err[:, j], fail_threshold, crlb_toa(zeta_f2, sc.snr_db))
+        for j, sc in enumerate(scenarios)
+    ]
+
+
+def _report(err: np.ndarray, fail_threshold: float, bound: float) -> MonteCarloReport:
+    """Summary of one scenario's per-trial delay errors against its variance bound."""
     failed = np.abs(err) > fail_threshold
     ok = err[~failed]
     if len(ok) > 0:
@@ -312,10 +350,9 @@ def monte_carlo(scenario: RangingScenario, trials: int, workers: int = 1) -> Mon
     else:
         rmse = float("nan")
         bias = float("nan")
-    bound = crlb_toa(scenario.zeta_f2(), scenario.snr_db)
     ratio = rmse**2 / bound if bound > 0 else float("inf")
     return MonteCarloReport(
-        trials=trials,
+        trials=len(err),
         rmse_tau=rmse,
         bias_tau=bias,
         crlb_ratio=ratio,

@@ -32,6 +32,13 @@ def test_parse_grid():
     for bad in ("0:1:inf", "-inf:1:0", "0:inf:5", "nan:1:5", "0:nan:5", "0:1:nan"):
         with pytest.raises(ValueError, match="finite"):
             parse_grid(bad)
+    with pytest.raises(ValueError, match="below the float spacing"):
+        parse_grid("1e16:1:1.0000000000000002e16")  # 1e16 + 1 rounds back to 1e16
+    with pytest.raises(ValueError, match="exceeds the largest float"):
+        parse_grid("-1.7e308:1e308:1.7e308")
+    with pytest.raises(ValueError, match="more than 1000000 points"):
+        parse_grid("0:1e-9:1")
+    assert len(parse_grid("0:1e-6:0.999999")) == 1_000_000
 
 
 def test_parse_region():
@@ -500,6 +507,20 @@ def test_sweep_cli(tmp_path, capsys):
     seps = {float(line.split(",")[0]) for line in lines[1:]}
     assert seps == {0.5e9, 1e9}
     assert (tmp_path / "surface.manifest.json").exists()
+
+
+def test_sweep_validates_every_cell_before_simulating(tmp_path, capsys, monkeypatch):
+    # the 4 GHz separation breaks Nyquist at 4 GS/s; no column may run first
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before validating the grid")
+
+    monkeypatch.setattr(rangekit.cli, "monte_carlo_column", no_simulation)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--delta-f", "1e9:1e9:4e9", "--snr", "0:10:20", "--sample-rate", "4e9",
+            "--trials", "10", "--out", str(out)]
+    assert dispatch(argv) == 1
+    assert_one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_missing_input_exits_2(tmp_path, capsys):

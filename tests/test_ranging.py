@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from rangekit import SPEED_OF_LIGHT, rand
+from rangekit import SPEED_OF_LIGHT, fileio, rand
 from rangekit.cli import dispatch
 from rangekit.ranging import (
     RangingScenario,
@@ -19,6 +19,7 @@ from rangekit.ranging import (
     equivalent_accuracy_tradeoff,
     ml_toa_estimate,
     monte_carlo,
+    monte_carlo_column,
 )
 from rangekit.waveform import ToneSet, delay_signal, synth_two_tone, two_tone_rms_bandwidth
 
@@ -162,6 +163,36 @@ def test_scenario_validation():
     assert RangingScenario(single, 16.0, 1e-7, True, 4e9, 2.5e-7).ambiguity_window() == 2.5e-7
 
 
+def refine_peaks_reference(env, lags, sample_rate):
+    """Reference form of _refine_peaks: row-index gathers and a where/clip vertex offset."""
+    rows = np.arange(env.shape[0])
+    local = 1 + np.argmax(env[:, 1:-1], axis=1)
+    y_m1, y_0, y_p1 = env[rows, local - 1], env[rows, local], env[rows, local + 1]
+    denom = 2.0 * (2.0 * y_0 - y_p1 - y_m1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(denom != 0.0, (y_p1 - y_m1) / denom, 0.0)
+    return (lags[local] + np.clip(p, -1.0, 1.0)) / sample_rate
+
+
+def test_refine_peaks_matches_reference_form():
+    rng = np.random.default_rng(4)
+    env = np.abs(rng.standard_normal((64, 10)) + 3.0)
+    env[0] = 1.0  # flat everywhere: collinear, no offset
+    env[1, 3:6] = 8.0  # flat top three wide
+    env[2, 4:6] = 8.0  # flat top two wide: the first sample is the peak
+    env[3, 0] = 9.0  # edge maxima, outside the candidate lags: offset clipped
+    env[4, -1] = 9.0
+    env[5, [0, -1]] = 9.0
+    env[6] = np.arange(10.0)  # monotone: peak at the last candidate
+    env[7] = np.arange(10.0)[::-1]
+    env[8] = 0.0
+    env[9, :] = np.array([0, 2, 2, 2, 2, 2, 2, 2, 2, 0], float)
+    lags = np.arange(-1, 9)
+    want = refine_peaks_reference(env, lags, 4e9)
+    assert_array_equal(_refine_peaks(env, lags, 4e9), want)
+    assert_array_equal(_refine_peaks(np.asfortranarray(env), lags, 4e9), want)
+
+
 def test_monte_carlo_noiseless_limit():
     sc = RangingScenario(
         ToneSet.two_tone(5e8), np.inf, 0.6e-9, True, 4e9, 1e-6, seed=1
@@ -228,6 +259,36 @@ def test_monte_carlo_deterministic_across_workers():
         assert reports[0] == reports[1] == reports[2] == reports[3]
 
 
+@pytest.mark.parametrize("duration", [1e-6, 2.5e-7], ids=["1us", "250ns-qr"])
+def test_monte_carlo_column_matches_single_calls(duration):
+    # one column shares each block's noise draw across its SNRs; every
+    # report must still equal its scenario's own run, for any worker count,
+    # including a partial last block (1100 = 2 * 512 + 76 trials)
+    column = [
+        RangingScenario(ToneSet.two_tone(5e8), snr, 0.6e-9, False, 4e9, duration, seed=8)
+        for snr in (0.0, 10.0, 30.0, np.inf)
+    ]
+    single = [monte_carlo(sc, 1100) for sc in column]
+    assert single[0].failures > 0 and single[0] != single[1]
+    for workers in (1, 2, 3):
+        assert monte_carlo_column(column, 1100, workers=workers) == single
+
+
+def test_monte_carlo_column_rejects_mixed_scenarios():
+    base = RangingScenario(ToneSet.two_tone(5e8), 20.0, 0.6e-9, False, 4e9, 1e-6)
+    for other in (
+        RangingScenario(ToneSet.two_tone(5e8), 10.0, 0.6e-9, False, 4e9, 1e-6, seed=1),
+        RangingScenario(ToneSet.two_tone(5e8), 10.0, 0.5e-9, False, 4e9, 1e-6),
+        RangingScenario(ToneSet.two_tone(5e8), 10.0, 0.6e-9, True, 4e9, 1e-6),
+    ):
+        with pytest.raises(ValueError, match="differ only in snr_db"):
+            monte_carlo_column([base, other], 10)
+    with pytest.raises(ValueError, match="no scenarios"):
+        monte_carlo_column([], 10)
+    with pytest.raises(ValueError, match="trials"):
+        monte_carlo_column([base], 0)
+
+
 def test_monte_carlo_failures_at_window_start():
     # a true delay of 0 sits on the window's first lag; at 30 dB the noisy
     # estimates that land just below 0 are small errors, not failures
@@ -274,20 +335,29 @@ def test_window_setup_reused_across_snr(tmp_path, capsys):
         with pytest.raises(ValueError):
             array[0] = 0
 
-    # a sweep cell served from the cache equals the same cell set up afresh
+    # a sweep, one shared-noise column per separation, writes the same bytes
+    # as one monte_carlo call per cell, each set up afresh
     out = tmp_path / "sweep.csv"
-    argv = ["sweep", "--delta-f", "2.5e8:2.5e8:5e8", "--snr", "10:10:30", "--trials", "300",
+    argv = ["sweep", "--delta-f", "2.5e8:2.5e8:5e8", "--snr", "10:10:30", "--trials", "600",
             "--duration", "2.5e-7", "--seed", "3", "--out", str(out), "--quiet"]
     assert dispatch(argv) == 0
     capsys.readouterr()
-    row = out.read_text().splitlines()[2].split(",")  # 250 MHz at 20 dB
-    assert (float(row[0]), float(row[1])) == (2.5e8, 20.0)
-    _window_setup.cache_clear()
-    sc = RangingScenario(ToneSet.two_tone(2.5e8), 20.0, 0.3 / 2.5e8, False, 4e9, 2.5e-7, seed=3)
-    rep = monte_carlo(sc, 300)
-    assert float(row[3]) == delay_to_range(rep.rmse_tau, False)
-    assert float(row[4]) == rep.crlb_ratio
-    assert int(row[5]) == rep.failures
+    points = []
+    for sep in (2.5e8, 5e8):
+        for snr in (10.0, 20.0, 30.0):
+            _window_setup.cache_clear()
+            sc = RangingScenario(ToneSet.two_tone(sep), snr, 0.3 / sep, False, 4e9, 2.5e-7, seed=3)
+            rep = monte_carlo(sc, 600)
+            points.append(fileio.SweepPoint(
+                delta_f_hz=sep,
+                snr_db=snr,
+                crlb_std_range_m=crlb_result(sc.zeta_f2(), snr, False).std_range,
+                mc_rmse_range_m=delay_to_range(rep.rmse_tau, False),
+                crlb_ratio=rep.crlb_ratio,
+                failures=rep.failures,
+            ))
+    fileio.write_sweep_csv(points, tmp_path / "cells.csv")
+    assert out.read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 # a 1 us record holds a whole number of cycles of both tones, a 250 ns one does not
