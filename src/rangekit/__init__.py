@@ -7,11 +7,11 @@ The package has three legs:
   estimator validated against that bound by Monte Carlo, and the
   propagation of ranging error into distributed-beamforming coherent gain.
 * phase_center/antenna_metrics -- post-processing of far-field cuts and
-  reflection-coefficient sweeps: phase-center fitting, inter-band
+  Touchstone reflection-coefficient sweeps: phase-center fitting, inter-band
   displacement statistics, resonance/fractional-bandwidth extraction and
   main-beam gain statistics.
 * geometry/fileio/cli -- the fabricated-antenna dimension record, shared
-  CSV/JSON/Touchstone formats, and the ``rangekit`` command-line tool.
+  CSV/JSON formats, and the ``rangekit`` command-line tool.
 """
 
 __version__ = "0.1.0"

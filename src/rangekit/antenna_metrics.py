@@ -22,6 +22,7 @@ import numpy as np
 
 from .phase_center import DEFAULT_BEAM_REGION, FarFieldCut
 
+DEFAULT_THRESHOLD_DB = -10.0
 _FREQ_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 _FORMATS = ("DB", "MA", "RI")
 _PARAMETERS = ("S", "Y", "Z", "G", "H")
@@ -78,6 +79,7 @@ class GainStats:
 
 
 def _parse_option_line(tokens) -> tuple[str, str, str, float]:
+    """(unit, parameter, format, resistance); an omitted token keeps its Touchstone default."""
     unit, parameter, fmt, resistance = "GHZ", "S", "MA", 50.0
     it = iter(tokens)
     for tok in it:
@@ -179,7 +181,7 @@ def load_touchstone(path) -> SParamTrace:
     except ValueError as exc:
         _check_lines(lines)
         raise ValueError(f"malformed data block: {exc}") from None
-    unit, parameter, fmt, resistance = option or ("GHZ", "S", "MA", 50.0)
+    unit, parameter, fmt, resistance = option or _parse_option_line(())
     freq = data[:, 0] * _FREQ_UNITS[unit]
     s11_db = _to_db(fmt, data[:, 1], data[:, 2])
     return SParamTrace(
@@ -207,7 +209,7 @@ def _crossing(f0, s0, f1, s1, threshold):
     return f0 + (threshold - s0) * (f1 - f0) / (s1 - s0)
 
 
-def find_bands(trace: SParamTrace, threshold_db: float = -10.0) -> list:
+def find_bands(trace: SParamTrace, threshold_db: float = DEFAULT_THRESHOLD_DB) -> list:
     """Maximal sub-threshold bands of a reflection sweep, ascending in frequency.
 
     Returns an empty list when the trace never dips below the threshold.

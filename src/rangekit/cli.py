@@ -15,11 +15,12 @@ import functools
 import json
 import re
 import sys
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, beamform, fileio, geometry
+from . import __version__, antenna_metrics, beamform, fileio, geometry, phase_center
 from .antenna_metrics import find_bands, gain_beam_stats, load_touchstone
 from .phase_center import displacement_series, displacement_stats
 from .ranging import (
@@ -107,19 +108,28 @@ def _emit(args, doc) -> None:
         print(json.dumps(doc, indent=2, allow_nan=False))
 
 
-def _load_config(args):
-    if getattr(args, "scenario", None) is None:
-        return None
+def _load_config(args) -> fileio.ScenarioConfig:
+    """The ``--scenario`` file, or the empty scenario without one."""
+    if args.scenario is None:
+        return fileio.ScenarioConfig()
     return fileio.load_scenario(args.scenario)
 
 
-def _resolve_out(out, config):
-    if out is None:
+def _overlay(args, section, cls, name):
+    """Scenario ``section`` (None if absent) with every set flag whose dest
+    names a field of ``cls`` laid over it, checked as scenario JSON is;
+    None while a field without a default is unset."""
+    raw = {} if section is None else asdict(section)
+    for f in fields(cls):
+        if getattr(args, f.name, None) is not None:
+            raw[f.name] = getattr(args, f.name)
+    if any(f.default is MISSING and f.name not in raw for f in fields(cls)):
         return None
-    out = Path(out)
-    if config is not None and not out.is_absolute():
-        return Path(config.output_dir) / out
-    return out
+    return fileio.parse_section(raw, cls, name)
+
+
+def _resolve_out(out, config):
+    return None if out is None else Path(config.output_dir) / out
 
 
 # ---------------------------------------------------------------------------
@@ -129,30 +139,25 @@ def _resolve_out(out, config):
 
 def _cmd_waveform(args) -> int:
     config = _load_config(args)
-    if config is not None and config.waveform is not None:
-        wf = config.waveform
-        tones = wf.tone_set()
-        duration = args.duration if args.duration is not None else wf.duration_s
-        sample_rate = args.sample_rate if args.sample_rate is not None else wf.sample_rate_hz
-        if args.separation is not None:
-            tones = ToneSet.two_tone(args.separation)
-    else:
-        if args.separation is None or args.duration is None or args.sample_rate is None:
-            raise ValueError(
-                "waveform needs --separation, --duration and --sample-rate "
-                "(or a --scenario with a waveform section)"
-            )
-        tones = ToneSet.two_tone(args.separation)
-        duration, sample_rate = args.duration, args.sample_rate
-    signal = synth_two_tone(tones, duration, sample_rate)
+    section = config.waveform
+    if section is not None and args.separation_hz is not None:  # replaces a whole tone list
+        section = replace(section, tone_frequencies_hz=None)
+    wf = _overlay(args, section, fileio.WaveformConfig, "waveform")
+    if wf is None or (wf.separation_hz is None and wf.tone_frequencies_hz is None):
+        raise ValueError(
+            "waveform needs --separation, --duration and --sample-rate "
+            "(or a --scenario with a waveform section)"
+        )
+    tones = wf.tone_set()
+    signal = synth_two_tone(tones, wf.duration_s, wf.sample_rate_hz)
     spectrum = spectrum_of(signal)
     zeta_analytic = mean_squared_bandwidth(SpectrumModel.from_tones(tones))
     zeta_discrete = mean_squared_bandwidth(spectrum)
     sep = tones.separation
     doc = {
         "tone_frequencies_hz": [float(f) for f in tones.frequencies],
-        "duration_s": float(duration),
-        "sample_rate_hz": float(sample_rate),
+        "duration_s": float(wf.duration_s),
+        "sample_rate_hz": float(wf.sample_rate_hz),
         "samples": len(signal),
         "zeta_f2_analytic_rad2_s2": zeta_analytic,
         "zeta_f2_discrete_rad2_s2": zeta_discrete,
@@ -170,7 +175,7 @@ def _cmd_waveform(args) -> int:
 def _cmd_range_sim(args) -> int:
     config = fileio.load_scenario(args.scenario)
     scenario = config.ranging_scenario(seed=args.seed)
-    trials = args.trials if args.trials is not None else config.ranging.trials
+    trials = _overlay(args, config.ranging, fileio.RangingConfig, "ranging").trials
     report = monte_carlo(scenario, trials, workers=args.workers)
     bound = crlb_result(scenario.zeta_f2(), scenario.snr_db, scenario.two_way)
     mc_rmse_range_m = delay_to_range(report.rmse_tau, scenario.two_way)
@@ -210,7 +215,7 @@ def _cmd_phase_center(args) -> int:
         raise ValueError("phase-center needs exactly two --cut files (band A, band B)")
     cut_a = _load_single_cut(args.cut[0])
     cut_b = _load_single_cut(args.cut[1])
-    beam = parse_region(args.beam)
+    beam = phase_center.DEFAULT_BEAM_REGION if args.beam is None else parse_region(args.beam)
     series = displacement_series(cut_a, cut_b, window_deg=args.window, beam_region=beam)
     stats = displacement_stats(series)
     doc = {
@@ -257,7 +262,7 @@ def _cmd_s11_bands(args) -> int:
 
 def _cmd_gain_stats(args) -> int:
     cuts = fileio.load_farfield_cuts(args.cut)
-    region = parse_region(args.region)
+    region = phase_center.DEFAULT_BEAM_REGION if args.region is None else parse_region(args.region)
     stats = [gain_beam_stats(c, region=region, linear_mean=args.linear_mean) for c in cuts]
     doc = {
         "region_deg": list(region),
@@ -275,37 +280,27 @@ def _cmd_gain_stats(args) -> int:
 
 def _cmd_coherence(args) -> int:
     config = _load_config(args)
-    defaults = config.beamform if config is not None and config.beamform is not None else None
-    nodes = args.nodes if args.nodes is not None else (defaults.n_nodes if defaults else None)
-    f_action = args.f_action if args.f_action is not None else (
-        defaults.f_action_hz if defaults else None
-    )
-    sigma_range = args.sigma_range if args.sigma_range is not None else (
-        defaults.sigma_range_m if defaults else None
-    )
-    trials = args.trials if args.trials is not None else (defaults.trials if defaults else 100000)
-    if nodes is None or f_action is None or sigma_range is None:
+    bf = _overlay(args, config.beamform, fileio.BeamformConfig, "beamform")
+    if bf is None:
         raise ValueError(
             "coherence needs --nodes, --f-action and --sigma-range "
             "(or a --scenario with a beamform section)"
         )
-    seed = args.seed if args.seed is not None else (config.seed if config is not None else 0)
+    seed = config.seed if args.seed is None else args.seed
 
     def report_for(sig):
         """(sigma_phi, report) for a per-node ranging std ``sig``."""
         if args.two_way:  # a retrodirective link doubles the phase error per meter
             sig = 2.0 * sig
-        scenario = beamform.CoherenceScenario(
-            n_nodes=nodes, f_action_hz=f_action, sigma_range_m=sig, trials=trials, seed=seed
-        )
+        scenario = beamform.CoherenceScenario(**asdict(replace(bf, sigma_range_m=sig)), seed=seed)
         return scenario.sigma_phi(), beamform.coherent_gain(scenario, workers=args.workers)
 
     params = {
-        "n_nodes": nodes,
-        "f_action_hz": f_action,
-        "sigma_range_m": sigma_range,
+        "n_nodes": bf.n_nodes,
+        "f_action_hz": bf.f_action_hz,
+        "sigma_range_m": bf.sigma_range_m,
         "two_way": args.two_way,
-        "trials": trials,
+        "trials": bf.trials,
         "seed": seed,
     }
     inputs = [args.scenario] if args.scenario else []
@@ -319,7 +314,7 @@ def _cmd_coherence(args) -> int:
         if not args.quiet:
             print(f"wrote {len(rows)} grid points to {args.out}")
         return 0
-    sigma_phi, rep = report_for(sigma_range)
+    sigma_phi, rep = report_for(bf.sigma_range_m)
     doc = dict(params)
     doc["sigma_phi_rad"] = sigma_phi
     doc["report"] = fileio.report_dict(rep)
@@ -414,7 +409,7 @@ def build_parser() -> _Parser:
         description="Two-tone ranging accuracy, antenna phase-center and band metrics.",
     )
     parser.add_argument("--version", action="version", version=f"rangekit {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="subcommand")
+    sub = parser.add_subparsers(dest="command", metavar="subcommand", required=True)
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
@@ -424,9 +419,9 @@ def build_parser() -> _Parser:
 
     p = add("waveform", _cmd_waveform, "synthesize a tone pair and report spectral moments")
     p.add_argument("--scenario", help="scenario JSON with a waveform section")
-    p.add_argument("--separation", type=float, help="tone separation in Hz")
-    p.add_argument("--duration", type=float, help="pulse duration in s")
-    p.add_argument("--sample-rate", type=float, help="sample rate in Hz")
+    p.add_argument("--separation", dest="separation_hz", type=float, help="tone separation in Hz")
+    p.add_argument("--duration", dest="duration_s", type=float, help="pulse duration in s")
+    p.add_argument("--sample-rate", dest="sample_rate_hz", type=float, help="sample rate in Hz")
     p.add_argument("--out", help="write the discrete spectrum CSV here")
 
     p = add("range-sim", _cmd_range_sim, "Monte Carlo delay estimation vs the accuracy bound")
@@ -440,18 +435,28 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--cut", action="append", required=True, help="far-field CSV, given twice (band A, band B)"
     )
-    p.add_argument("--window", type=float, default=10.0, help="sliding fit window in degrees")
-    p.add_argument("--beam", default="-30:30", help="beam region lo:hi in degrees")
+    p.add_argument(
+        "--window",
+        type=float,
+        default=phase_center.DEFAULT_WINDOW_DEG,
+        help="sliding fit window in degrees",
+    )
+    p.add_argument("--beam", help="beam region lo:hi in degrees")
     p.add_argument("--out", help="write the per-angle series CSV here (stats JSON alongside)")
 
     p = add("s11-bands", _cmd_s11_bands, "resonances and fractional bandwidths of an S11 sweep")
     p.add_argument("--in", dest="infile", required=True, help="one-port Touchstone file")
-    p.add_argument("--threshold", type=float, default=-10.0, help="band threshold in dB")
+    p.add_argument(
+        "--threshold",
+        type=float,
+        default=antenna_metrics.DEFAULT_THRESHOLD_DB,
+        help="band threshold in dB",
+    )
     p.add_argument("--out", help="write bands as .json or .csv")
 
     p = add("gain-stats", _cmd_gain_stats, "max/mean gain over the main-beam region")
     p.add_argument("--cut", required=True, help="far-field CSV (one or more cuts)")
-    p.add_argument("--region", default="-30:30", help="angular region lo:hi in degrees")
+    p.add_argument("--region", help="angular region lo:hi in degrees")
     p.add_argument(
         "--linear-mean", action="store_true", help="average powers instead of dB values"
     )
@@ -459,9 +464,13 @@ def build_parser() -> _Parser:
 
     p = add("coherence", _cmd_coherence, "ranging error to coherent-gain degradation")
     p.add_argument("--scenario", help="scenario JSON with a beamform section")
-    p.add_argument("--nodes", type=int, help="number of array nodes")
-    p.add_argument("--f-action", type=float, help="coherent action frequency in Hz")
-    p.add_argument("--sigma-range", type=float, help="per-node ranging std in m")
+    p.add_argument("--nodes", dest="n_nodes", type=int, help="number of array nodes")
+    p.add_argument(
+        "--f-action", dest="f_action_hz", type=float, help="coherent action frequency in Hz"
+    )
+    p.add_argument(
+        "--sigma-range", dest="sigma_range_m", type=float, help="per-node ranging std in m"
+    )
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1)
@@ -470,15 +479,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="JSON report (or CSV with --sigma-grid)")
 
     p = add("geometry", _cmd_geometry, "patch dimension record utilities")
-    gsub = p.add_subparsers(dest="geometry_action", metavar="action")
+    gsub = p.add_subparsers(dest="geometry_action", metavar="action", required=True)
     gv = gsub.add_parser("validate", help="check a dimension JSON for consistency")
     gv.add_argument("--in", dest="infile", required=True)
     gv.add_argument("--quiet", "-q", action="store_true")
-    gv.set_defaults(func=_cmd_geometry, geometry_action="validate")
     gr = gsub.add_parser("reference", help="write the built-in reference dimensions")
     gr.add_argument("--out", required=True)
     gr.add_argument("--quiet", "-q", action="store_true")
-    gr.set_defaults(func=_cmd_geometry, geometry_action="reference")
 
     p = add("sweep", _cmd_sweep, "accuracy surface over (separation, SNR) grid")
     p.add_argument("--delta-f", required=True, help="separation grid start:step:stop in Hz")
@@ -511,14 +518,6 @@ def dispatch(argv) -> int:
         return 1
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        print("rangekit: a subcommand is required", file=sys.stderr)
-        return 1
-    if getattr(args, "command", None) == "geometry" and getattr(args, "geometry_action", None) is None:
-        parser.print_usage(sys.stderr)
-        print("rangekit: geometry needs an action (validate | reference)", file=sys.stderr)
-        return 1
     args.argv = ["rangekit"] + list(argv)
     try:
         return args.func(args)

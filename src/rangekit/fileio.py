@@ -11,9 +11,10 @@ together, theta strictly increasing within a group, every value finite.
 z is the boresight axis and theta is measured from z toward x, matching
 the phase-center sign convention.
 
-Scenario JSON fields are checked against the config dataclass types:
-booleans must be JSON booleans, integers non-bool integers and floats
-finite numbers; anything else, like an unknown key, raises ValueError.
+Every section read through :func:`parse_section` (scenario JSON, the CLI
+flags laid over it, a dimension record's substrate) is checked against its
+dataclass types: booleans must be JSON booleans, integers non-bool integers
+and floats finite numbers; anything else, like an unknown key, raises ValueError.
 """
 
 from __future__ import annotations
@@ -248,11 +249,14 @@ _FIELD_CHECKS = {
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "float": ("a finite number", _is_finite),
-    "tuple": ("a list of finite numbers", lambda v: type(v) is list and all(map(_is_finite, v))),
+    "tuple": (
+        "a list of finite numbers",
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_finite, v)),
+    ),
 }
 
 
-def _check_field(value, kind: str, where: str):
+def check_field(value, kind: str, where: str):
     """``value`` if it is a valid JSON field of dataclass type ``kind``; lists become tuples."""
     what, ok = _FIELD_CHECKS[kind]
     if not ok(value):
@@ -328,20 +332,21 @@ class ScenarioConfig:
 _SECTIONS = {"waveform": WaveformConfig, "ranging": RangingConfig, "beamform": BeamformConfig}
 
 
-def _parse_section(raw, cls, name: str):
-    """One scenario section: fields without a dataclass default are required."""
+def parse_section(raw, cls, name: str):
+    """Dataclass ``cls`` from the JSON object ``raw``, each field checked
+    against its declared type; fields without a dataclass default are required."""
     if not isinstance(raw, dict):
-        raise ValueError(f"scenario section {name} must be a JSON object")
+        raise ValueError(f"section {name} must be a JSON object")
     defaults = {f.name: None if f.default is MISSING else f.default for f in fields(cls)}
-    merged = _take(raw, defaults, f"scenario section {name}")
+    merged = _take(raw, defaults, f"section {name}")
     missing = [f.name for f in fields(cls) if f.default is MISSING and merged[f.name] is None]
     if missing:
-        raise ValueError(f"scenario section {name} is missing: {', '.join(missing)}")
+        raise ValueError(f"section {name} is missing: {', '.join(missing)}")
     values = {}
     for f in fields(cls):
         value = merged[f.name]
         if value is not None or f.default is not None:  # None leaves an optional field unset
-            value = _check_field(value, f.type, f"scenario field {name}.{f.name}")
+            value = check_field(value, f.type, f"field {name}.{f.name}")
         values[f.name] = value
     return cls(**values)
 
@@ -352,9 +357,9 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     top = _take(doc, {f.name: f.default for f in fields(ScenarioConfig)}, "scenario")
     return ScenarioConfig(
         seed=rand.check_seed(top["seed"]),
-        output_dir=_check_field(top["output_dir"], "str", "scenario field output_dir"),
+        output_dir=check_field(top["output_dir"], "str", "scenario field output_dir"),
         **{
-            name: None if top[name] is None else _parse_section(top[name], cls, name)
+            name: None if top[name] is None else parse_section(top[name], cls, name)
             for name, cls in _SECTIONS.items()
         },
     )

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+
+from . import fileio
 
 LABELS = tuple(string.ascii_uppercase[:24])  # A through X
 
@@ -64,39 +66,26 @@ def load_dimensions(path) -> PatchDimensions:
 
     Expects an object with all 24 labels; a "substrate" sub-object is
     optional and may itself omit fields, which fall back to the defaults.
+    Every value must be a finite number, checked as scenario JSON fields are.
     Non-positive lengths are rejected here so a loaded record is usable.
     """
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("dimension file must contain a JSON object")
-    raw = dict(raw)
-    sub_raw = raw.pop("substrate", {})
-    if not isinstance(sub_raw, dict):
-        raise ValueError("substrate must be a JSON object")
-    allowed = {"width_mm", "height_mm", "dielectric_constant", "thickness_mm"}
-    unknown = sorted(set(sub_raw) - allowed)
-    if unknown:
-        raise ValueError(f"unknown substrate key(s): {', '.join(unknown)}")
-    for label, value in raw.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError(f"dimension {label} must be a number")
+    lengths = dict(raw)
+    substrate = fileio.parse_section(lengths.pop("substrate", {}), Substrate, "substrate")
+    for label, value in lengths.items():
+        fileio.check_field(value, "float", f"dimension {label}")
         if value <= 0:
             raise ValueError(f"dimension {label} must be positive, got {value}")
-    dims = PatchDimensions(lengths_mm=raw, substrate=Substrate(**sub_raw))
-    return dims
+    return PatchDimensions(lengths_mm=lengths, substrate=substrate)
 
 
 def save_dimensions(dims: PatchDimensions, path) -> None:
     """Write a record as JSON that load_dimensions reads back identically."""
-    sub = dims.substrate
     doc = dict(dims.lengths_mm)
-    doc["substrate"] = {
-        "width_mm": sub.width_mm,
-        "height_mm": sub.height_mm,
-        "dielectric_constant": sub.dielectric_constant,
-        "thickness_mm": sub.thickness_mm,
-    }
+    doc["substrate"] = asdict(dims.substrate)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -106,10 +95,10 @@ def validate(dims: PatchDimensions) -> list:
     """Figure-independent consistency checks; empty list means all pass."""
     violations = []
     sub = dims.substrate
-    for name in ("width_mm", "height_mm", "thickness_mm", "dielectric_constant"):
-        v = getattr(sub, name)
+    for f in fields(Substrate):
+        v = getattr(sub, f.name)
         if v <= 0:
-            violations.append(f"substrate {name} must be positive, got {v:g}")
+            violations.append(f"substrate {f.name} must be positive, got {v:g}")
     for label, value in dims.lengths_mm.items():
         if value <= 0:
             violations.append(f"dimension {label} must be positive, got {value:g}")

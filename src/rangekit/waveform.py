@@ -32,13 +32,16 @@ class Tone:
 
 @dataclass(frozen=True)
 class ToneSet:
-    """A sparse set of CW tones, ordered by strictly increasing frequency."""
+    """A sparse set of CW tones, ordered by strictly increasing frequency,
+    with every frequency, amplitude and phase finite."""
 
     tones: tuple[Tone, ...]
 
     def __post_init__(self):
         if len(self.tones) == 0:
             raise ValueError("ToneSet must contain at least one tone")
+        if not np.all(np.isfinite([(t.frequency, t.amplitude, t.phase) for t in self.tones])):
+            raise ValueError("tone frequencies, amplitudes and phases must be finite")
         freqs = [t.frequency for t in self.tones]
         if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
             raise ValueError("tone frequencies must be strictly increasing")

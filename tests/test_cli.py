@@ -49,9 +49,23 @@ def test_parse_region():
             parse_region(bad)
 
 
+def assert_usage_error(capsys, missing):
+    """A usage line, then one error line naming the ``missing`` argument."""
+    captured = capsys.readouterr()
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: rangekit")
+    assert error == f"rangekit: error: the following arguments are required: {missing}"
+    assert captured.out == ""
+
+
 def test_no_arguments_is_usage_error(capsys):
     assert dispatch([]) == 1
-    assert "subcommand" in capsys.readouterr().err
+    assert_usage_error(capsys, "subcommand")
+
+
+def test_geometry_needs_action(capsys):
+    assert dispatch(["geometry"]) == 1
+    assert_usage_error(capsys, "action")
 
 
 def test_unknown_flag_and_subcommand(capsys):
@@ -458,6 +472,90 @@ def test_coherence_sigma_grid(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag, value, key, expected",
+    [
+        ("--separation", "2e8", "tone_frequencies_hz", [-1e8, 1e8]),
+        ("--duration", "5e-7", "duration_s", 5e-7),
+        ("--sample-rate", "8e9", "sample_rate_hz", 8e9),
+    ],
+)
+def test_waveform_flag_overrides_scenario_field(tmp_path, capsys, flag, value, key, expected):
+    argv = ["waveform", "--scenario", str(scenario_file(tmp_path))]
+    assert dispatch(argv) == 0
+    base = json.loads(capsys.readouterr().out)
+    assert dispatch(argv + [flag, value]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert base[key] != expected and doc[key] == expected
+    for other in ("tone_frequencies_hz", "duration_s", "sample_rate_hz"):
+        if other != key:
+            assert doc[other] == base[other]
+
+
+def test_waveform_separation_replaces_scenario_tone_list(tmp_path, capsys):
+    doc = json.loads(scenario_file(tmp_path).read_text())
+    doc["waveform"] = {
+        "duration_s": 1e-6,
+        "sample_rate_hz": 4e9,
+        "tone_frequencies_hz": [-3e8, 1e8, 4e8],
+        "tone_amplitudes": [1.0, 0.5, 2.0],
+    }
+    path = tmp_path / "tones.json"
+    path.write_text(json.dumps(doc))
+    assert dispatch(["waveform", "--scenario", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["tone_frequencies_hz"] == [-3e8, 1e8, 4e8]
+    assert dispatch(["waveform", "--scenario", str(path), "--separation", "5e8"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["tone_frequencies_hz"] == [-2.5e8, 2.5e8]
+    assert out["ratio_vs_flat_spectrum"] == pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "flag, value, key, expected",
+    [
+        ("--nodes", "12", "n_nodes", 12),
+        ("--f-action", "2.4e9", "f_action_hz", 2.4e9),
+        ("--sigma-range", "0.01", "sigma_range_m", 0.01),
+        ("--trials", "700", "trials", 700),
+        ("--seed", "9", "seed", 9),
+    ],
+)
+def test_coherence_flag_overrides_scenario_field(tmp_path, capsys, flag, value, key, expected):
+    argv = ["coherence", "--scenario", str(scenario_file(tmp_path))]
+    assert dispatch(argv) == 0
+    base = json.loads(capsys.readouterr().out)
+    assert dispatch(argv + [flag, value]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert base[key] != expected and doc[key] == expected
+    for other in ("n_nodes", "f_action_hz", "sigma_range_m", "trials", "seed"):
+        if other != key:
+            assert doc[other] == base[other]
+
+
+def test_coherence_flags_default_to_scenario_config_defaults(capsys):
+    assert dispatch(["coherence", "--nodes", "4", "--f-action", "1e9", "--sigma-range", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["trials"], doc["seed"]) == (100000, 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["waveform", "--separation", "nan", "--duration", "1e-6", "--sample-rate", "4e9"],
+        ["waveform", "--scenario", "{scenario}", "--duration", "nan"],
+        ["coherence", "--scenario", "{scenario}", "--f-action", "nan"],
+        ["coherence", "--nodes", "4", "--f-action", "1e9", "--sigma-range", "nan"],
+    ],
+    ids=["waveform-separation", "waveform-duration", "coherence-f-action", "coherence-sigma"],
+)
+def test_non_finite_flag_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "w.csv"
+    argv = [a.format(scenario=scenario_file(tmp_path)) for a in argv]
+    assert dispatch(argv + ["--out", str(out)]) == 1
+    assert_one_error_line(capsys)
+    assert list(tmp_path.glob("w*")) == []
+
+
 def test_coherence_missing_parameters(capsys):
     assert dispatch(["coherence", "--nodes", "10"]) == 1
     assert "sigma-range" in capsys.readouterr().err
@@ -473,6 +571,29 @@ def test_geometry_reference_and_validate(tmp_path, capsys):
     assert dispatch(["geometry", "validate", "--in", str(out), "-q"]) == 0
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("C", float("nan")),
+        ("width_mm", float("inf")),
+        ("thickness_mm", True),
+        ("width_mm", "wide"),
+        ("C", 10**400),
+    ],
+    ids=["nan-length", "inf-substrate", "bool-substrate", "str-substrate", "huge-length"],
+)
+def test_geometry_validate_rejects_non_finite_or_non_numeric(tmp_path, capsys, key, value):
+    doc = dict(reference_dimensions().lengths_mm)
+    if key in doc:
+        doc[key] = value
+    else:
+        doc["substrate"] = {key: value}
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps(doc))
+    assert dispatch(["geometry", "validate", "--in", str(path)]) == 1
+    assert_one_error_line(capsys)
+
+
 def test_geometry_validate_reports_violations(tmp_path, capsys):
     bad = dict(reference_dimensions().lengths_mm)
     bad["B"] = 60.0
@@ -480,11 +601,6 @@ def test_geometry_validate_reports_violations(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     assert dispatch(["geometry", "validate", "--in", str(path)]) == 1
     assert "violation" in capsys.readouterr().err
-
-
-def test_geometry_needs_action(capsys):
-    assert dispatch(["geometry"]) == 1
-    capsys.readouterr()
 
 
 def test_sweep_cli(tmp_path, capsys):

@@ -31,6 +31,17 @@ def test_toneset_invariants():
     assert_allclose(ts.energy_weights(), [0.5, 0.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_toneset_rejects_non_finite_fields(bad):
+    for tone in (Tone(bad), Tone(1e9, amplitude=bad), Tone(1e9, phase=bad)):
+        with pytest.raises(ValueError, match="finite"):
+            ToneSet((Tone(-1e9), tone))
+    with pytest.raises(ValueError, match="finite"):
+        ToneSet.two_tone(abs(bad))
+    with pytest.raises(ValueError, match="finite"):
+        ToneSet.two_tone(1e9).scaled(abs(bad))
+
+
 def test_two_tone_synthesis_dominant_bins():
     # 1 us at 4 GS/s holds integer cycles of both +-250 MHz tones, so the
     # DFT should put everything into exactly two bins
