@@ -78,53 +78,3 @@ from .geometry import (
     validate,
     reference_dimensions,
 )
-
-__all__ = [
-    "SPEED_OF_LIGHT",
-    "Tone",
-    "ToneSet",
-    "SampledSignal",
-    "SpectrumModel",
-    "synth_two_tone",
-    "spectrum_of",
-    "mean_squared_bandwidth",
-    "two_tone_vs_rect_ratio",
-    "delay_signal",
-    "RangingScenario",
-    "CrlbResult",
-    "MonteCarloReport",
-    "crlb_toa",
-    "crlb_range",
-    "crlb_result",
-    "equivalent_accuracy_tradeoff",
-    "ml_toa_estimate",
-    "monte_carlo",
-    "monte_carlo_column",
-    "FarFieldCut",
-    "PhaseCenterFit",
-    "DisplacementSeries",
-    "DisplacementStats",
-    "fit_phase_center",
-    "displacement_series",
-    "displacement_stats",
-    "wavelength_fraction",
-    "point_source_cut",
-    "SParamTrace",
-    "BandMetrics",
-    "GainStats",
-    "load_touchstone",
-    "write_touchstone",
-    "find_bands",
-    "gain_beam_stats",
-    "CoherenceScenario",
-    "CoherentGainReport",
-    "range_to_phase_error",
-    "coherent_gain",
-    "analytic_gain_fraction",
-    "Substrate",
-    "PatchDimensions",
-    "load_dimensions",
-    "save_dimensions",
-    "validate",
-    "reference_dimensions",
-]

@@ -182,7 +182,8 @@ def load_touchstone(path) -> SParamTrace:
         _check_lines(lines)
         raise ValueError(f"malformed data block: {exc}") from None
     unit, parameter, fmt, resistance = option or _parse_option_line(())
-    freq = data[:, 0] * _FREQ_UNITS[unit]
+    with np.errstate(over="ignore"):  # SParamTrace rejects a frequency that overflows
+        freq = data[:, 0] * _FREQ_UNITS[unit]
     s11_db = _to_db(fmt, data[:, 1], data[:, 2])
     return SParamTrace(
         frequency_hz=freq,
@@ -238,6 +239,8 @@ def find_bands(trace: SParamTrace, threshold_db: float = DEFAULT_THRESHOLD_DB) -
         else:
             f_high = float(_crossing(f[i1], s[i1], f[i1 + 1], s[i1 + 1], threshold_db))
         j = i0 + int(np.argmin(s[i0 : i1 + 1]))
+        if f[j] <= 0:
+            raise ValueError(f"band resonance at {f[j]:g} Hz has no fractional bandwidth")
         bands.append(
             BandMetrics(
                 f_resonance_hz=float(f[j]),

@@ -43,6 +43,8 @@ class CoherenceScenario:
             raise ValueError("sigma_range must be non-negative")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not np.isfinite(self.sigma_phi()):
+            raise ValueError("the phase error 2*pi*f_action_hz*sigma_range_m/c overflows")
         rand.check_seed(self.seed)
 
     def sigma_phi(self) -> float:
@@ -85,7 +87,8 @@ def analytic_gain_fraction(n_nodes: int, sigma_phi: float) -> float:
         raise ValueError("an array needs at least 2 nodes")
     if sigma_phi < 0:
         raise ValueError("sigma_phi must be non-negative")
-    return float((1.0 + (n_nodes - 1) * np.exp(-(sigma_phi**2))) / n_nodes)
+    # exp(-28**2) is already 0.0; the cap keeps sigma_phi**2 from overflowing
+    return float((1.0 + (n_nodes - 1) * np.exp(-(min(sigma_phi, 28.0) ** 2))) / n_nodes)
 
 
 def gain_fractions(scenario: CoherenceScenario, workers: int = 1) -> np.ndarray:

@@ -364,21 +364,19 @@ def _cmd_sweep(args) -> int:
             )
             for snr in snrs
         ])
-    points = []
+    rows = []
     for sep, column in zip(separations, columns):
         zeta_f2 = column[0].zeta_f2()  # one tone pair per column
         for scenario, report in zip(column, monte_carlo_column(column, args.trials, args.workers)):
-            points.append(
-                fileio.SweepPoint(
-                    delta_f_hz=float(sep),
-                    snr_db=scenario.snr_db,
-                    crlb_std_range_m=crlb_result(zeta_f2, scenario.snr_db, args.two_way).std_range,
-                    mc_rmse_range_m=delay_to_range(report.rmse_tau, args.two_way),
-                    crlb_ratio=report.crlb_ratio,
-                    failures=report.failures,
-                )
-            )
-    fileio.write_sweep_csv(points, args.out)
+            rows.append((
+                float(sep),
+                scenario.snr_db,
+                crlb_result(zeta_f2, scenario.snr_db, args.two_way).std_range,
+                delay_to_range(report.rmse_tau, args.two_way),
+                report.crlb_ratio,
+                report.failures,
+            ))
+    fileio.write_sweep_csv(rows, args.out)
     params = {
         "delta_f_grid_hz": args.delta_f,
         "snr_grid_db": args.snr,
@@ -391,7 +389,7 @@ def _cmd_sweep(args) -> int:
     }
     fileio.write_manifest(Path(args.out), args.argv, params)
     if not args.quiet:
-        print(f"wrote {len(points)} grid points to {args.out}")
+        print(f"wrote {len(rows)} grid points to {args.out}")
     return 0
 
 
@@ -409,12 +407,17 @@ def build_parser() -> _Parser:
         description="Two-tone ranging accuracy, antenna phase-center and band metrics.",
     )
     parser.add_argument("--version", action="version", version=f"rangekit {__version__}")
+    parser.set_defaults(quiet=False)
+    # one --quiet for every subcommand and geometry action; with no default of
+    # its own, an action parser cannot overwrite a -q given before the action
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", "-q", action="store_true", default=argparse.SUPPRESS,
+                       help="suppress stdout report")
     sub = parser.add_subparsers(dest="command", metavar="subcommand", required=True)
 
     def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, parents=[quiet])
         p.set_defaults(func=func)
-        p.add_argument("--quiet", "-q", action="store_true", help="suppress stdout report")
         return p
 
     p = add("waveform", _cmd_waveform, "synthesize a tone pair and report spectral moments")
@@ -480,12 +483,11 @@ def build_parser() -> _Parser:
 
     p = add("geometry", _cmd_geometry, "patch dimension record utilities")
     gsub = p.add_subparsers(dest="geometry_action", metavar="action", required=True)
-    gv = gsub.add_parser("validate", help="check a dimension JSON for consistency")
+    gv = gsub.add_parser("validate", help="check a dimension JSON for consistency", parents=[quiet])
     gv.add_argument("--in", dest="infile", required=True)
-    gv.add_argument("--quiet", "-q", action="store_true")
-    gr = gsub.add_parser("reference", help="write the built-in reference dimensions")
+    gr = gsub.add_parser("reference", help="write the built-in reference dimensions",
+                         parents=[quiet])
     gr.add_argument("--out", required=True)
-    gr.add_argument("--quiet", "-q", action="store_true")
 
     p = add("sweep", _cmd_sweep, "accuracy surface over (separation, SNR) grid")
     p.add_argument("--delta-f", required=True, help="separation grid start:step:stop in Hz")

@@ -20,7 +20,6 @@ and floats finite numbers; anything else, like an unknown key, raises ValueError
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import warnings
@@ -190,27 +189,11 @@ def write_bands_csv(bands, path) -> None:
     )
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One (tone separation, SNR) cell of an accuracy-surface sweep."""
-
-    delta_f_hz: float
-    snr_db: float
-    crlb_std_range_m: float
-    mc_rmse_range_m: float
-    crlb_ratio: float
-    failures: int
-
-
-def write_sweep_csv(points, path) -> None:
-    if len(points) == 0:
+def write_sweep_csv(rows, path) -> None:
+    """Write accuracy-surface rows, one tuple per grid cell in the columns of SWEEP_HEADER."""
+    if len(rows) == 0:
         raise ValueError("empty sweep")
-    _write_csv(
-        path,
-        SWEEP_HEADER,
-        ((p.delta_f_hz, p.snr_db, p.crlb_std_range_m, p.mc_rmse_range_m, p.crlb_ratio, p.failures)
-         for p in points),
-    )
+    _write_csv(path, SWEEP_HEADER, rows)
 
 
 def write_coherence_grid_csv(rows, path) -> None:
@@ -256,12 +239,21 @@ _FIELD_CHECKS = {
 }
 
 
+def _as_number(value):
+    """A number numpy can hold: an integer past int64 becomes the nearest float."""
+    return value if -(2**63) <= value < 2**63 else float(value)
+
+
 def check_field(value, kind: str, where: str):
-    """``value`` if it is a valid JSON field of dataclass type ``kind``; lists become tuples."""
+    """``value`` if it is a valid JSON field of dataclass type ``kind``, with
+    lists as tuples and numbers as :func:`_as_number` gives them."""
     what, ok = _FIELD_CHECKS[kind]
     if not ok(value):
-        raise ValueError(f"{where} must be {what}, got {value!r}")
-    return tuple(value) if kind == "tuple" else value
+        import reprlib  # the error path only: shortens a long rejected value
+        raise ValueError(f"{where} must be {what}, got {reprlib.repr(value)}")
+    if kind == "tuple":
+        return tuple(map(_as_number, value))
+    return _as_number(value) if kind == "float" else value
 
 
 @dataclass(frozen=True)
@@ -380,6 +372,7 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def sha256_of(path) -> str:
+    import hashlib  # manifests only: kept off the import path of every CLI call
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(65536), b""):

@@ -86,9 +86,7 @@ def save_dimensions(dims: PatchDimensions, path) -> None:
     """Write a record as JSON that load_dimensions reads back identically."""
     doc = dict(dims.lengths_mm)
     doc["substrate"] = asdict(dims.substrate)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    fileio.dump_json(doc, path)
 
 
 def validate(dims: PatchDimensions) -> list:

@@ -296,19 +296,11 @@ def displacement_stats(series: DisplacementSeries) -> DisplacementStats:
     n = len(series)
     if n == 0:
         raise ValueError("cannot summarize an empty series")
-    if n == 1:
-        return DisplacementStats(
-            mean_x0_m=float(series.dx0_m[0]),
-            sd_x0_m=0.0,
-            mean_z0_m=float(series.dz0_m[0]),
-            sd_z0_m=0.0,
-            count=1,
-            sd_defined=False,
-        )
+
     def mean_sd(values):
-        # an exactly constant series must report that constant with zero SD;
-        # summation rounding would otherwise leave ~1e-20 residue in both
-        if np.all(values == values[0]):
+        # one sample, or an exactly constant series, reports that value with
+        # zero SD; summation rounding would otherwise leave ~1e-20 residue
+        if len(values) == 1 or np.all(values == values[0]):
             return float(values[0]), 0.0
         return float(np.mean(values)), float(np.std(values, ddof=1))
 
@@ -320,7 +312,7 @@ def displacement_stats(series: DisplacementSeries) -> DisplacementStats:
         mean_z0_m=mean_z,
         sd_z0_m=sd_z,
         count=n,
-        sd_defined=True,
+        sd_defined=n > 1,
     )
 
 

@@ -9,8 +9,6 @@ count, and a partial last block draws a prefix of the full block's stream.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 BLOCK_TRIALS = 512  # trials per generator key; also bounds each block's memory
@@ -52,5 +50,6 @@ def run_trials(chunk_fn, trials: int, workers: int = 1) -> np.ndarray:
     chunks = partition(trials, workers)
     if len(chunks) == 1:  # stay in this thread: a fresh thread's malloc arena inflates peak RSS
         return run_chunk(chunks[0])
+    from concurrent.futures import ThreadPoolExecutor  # only runs with workers > 1 pay its import
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
         return np.concatenate(list(pool.map(run_chunk, chunks)))

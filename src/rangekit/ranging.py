@@ -69,8 +69,8 @@ class RangingScenario:
     def __post_init__(self):
         if not np.all(np.isfinite([self.sample_rate, self.duration, self.true_delay])):
             raise ValueError("sample_rate, duration and true_delay must be finite")
-        if not self.snr_db > -np.inf:
-            raise ValueError("snr_db must not be NaN or -inf")
+        if not (-300.0 <= self.snr_db <= 300.0 or self.snr_db == np.inf):  # +inf: no noise
+            raise ValueError(f"snr_db must lie in [-300, 300] dB or be +inf, got {self.snr_db:g}")
         f_max = float(np.max(np.abs(self.tones.frequencies)))
         if self.sample_rate <= 2.0 * f_max:
             raise ValueError("sample_rate violates Nyquist for the tone set")

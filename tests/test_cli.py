@@ -728,3 +728,83 @@ def test_module_invocation():
         timeout=60,
     )
     assert proc.returncode == 0
+
+
+@pytest.fixture
+def quiet_inputs(tmp_path):
+    """argv (minus -q) of one valid call per subcommand and geometry action."""
+    s1p = tmp_path / "sweep.s1p"
+    write_touchstone(three_dip_trace(step_hz=5e6), s1p)
+    cuts = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    save_farfield_cuts(point_source_cut(0.001, 0.006, 1.88e9, THETA), cuts[0])
+    save_farfield_cuts(point_source_cut(0.0, 0.001, 9.56e9, THETA), cuts[1])
+    dims = tmp_path / "dims.json"
+    save_dimensions(reference_dimensions(), dims)
+    coherence = ["coherence", "--nodes", "4", "--f-action", "1.88e9", "--sigma-range", "0.004",
+                 "--trials", "200"]
+    return {
+        "waveform": ["waveform", "--separation", "5e8", "--duration", "1e-6",
+                     "--sample-rate", "4e9"],
+        "range-sim": ["range-sim", "--scenario", str(scenario_file(tmp_path, trials=20))],
+        "phase-center": ["phase-center", "--cut", str(cuts[0]), "--cut", str(cuts[1])],
+        "s11-bands": ["s11-bands", "--in", str(s1p)],
+        "gain-stats": ["gain-stats", "--cut", str(cuts[0])],
+        "coherence": coherence,
+        "coherence-grid": coherence + ["--sigma-grid", "0:0.004:0.004",
+                                       "--out", str(tmp_path / "grid.csv")],
+        "geometry-validate": ["geometry", "validate", "--in", str(dims)],
+        "geometry-reference": ["geometry", "reference", "--out", str(tmp_path / "ref.json")],
+        "sweep": ["sweep", "--delta-f", "5e8:5e8:5e8", "--snr", "20:10:20", "--trials", "20",
+                  "--duration", "2.5e-7", "--out", str(tmp_path / "sweep.csv")],
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["waveform", "range-sim", "phase-center", "s11-bands", "gain-stats", "coherence",
+     "coherence-grid", "geometry-validate", "geometry-reference", "sweep"],
+)
+def test_quiet_silences_every_subcommand_and_action(quiet_inputs, capsys, name):
+    argv = quiet_inputs[name]
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out != ""
+    # -q after the subcommand, before and after a geometry action, and last
+    positions = (1, 2, len(argv)) if argv[0] == "geometry" else (1, len(argv))
+    for quiet_argv in [argv[:i] + ["-q"] + argv[i:] for i in positions] + [argv + ["--quiet"]]:
+        assert dispatch(quiet_argv) == 0
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [(None, "C", 10**400), ("ranging", "snr_db", 10**400),
+     ("beamform", "f_action_hz", "x" * 10_000)],
+    ids=["huge-dimension", "huge-scenario-field", "long-string"],
+)
+def test_rejected_value_is_quoted_short(tmp_path, capsys, section, key, value):
+    path = tmp_path / "bad.json"
+    if section is None:
+        path.write_text(json.dumps(dict(reference_dimensions().lengths_mm, **{key: value})))
+        argv, field = ["geometry", "validate", "--in", str(path)], f"dimension {key}"
+    else:
+        doc = json.loads(scenario_file(tmp_path).read_text())
+        doc[section][key] = value
+        path.write_text(json.dumps(doc))
+        argv, field = ["range-sim", "--scenario", str(path)], f"field {section}.{key}"
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"rangekit: error: {field} must be ") and len(line) < 120
+
+
+def test_cli_import_leaves_optional_modules_unloaded():
+    # manifests (hashlib), worker threads (concurrent.futures) and the noise
+    # draw (numpy.random) load when a run needs them, not with the CLI
+    env = dict(os.environ, PYTHONPATH=str(Path(rangekit.__file__).parents[1]))
+    code = ("import sys, rangekit.cli; "
+            "print(sorted({'hashlib', 'concurrent.futures', 'numpy.random'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -16,7 +16,6 @@ from rangekit.fileio import (
     FARFIELD_HEADER,
     SPECTRUM_HEADER,
     SWEEP_HEADER,
-    SweepPoint,
     dump_json,
     fmt_float,
     load_farfield_cuts,
@@ -34,6 +33,7 @@ from rangekit.fileio import (
     write_sweep_csv,
 )
 from rangekit.phase_center import DisplacementSeries, FarFieldCut
+from rangekit.ranging import MonteCarloReport
 from rangekit.waveform import SpectrumModel, ToneSet
 
 
@@ -208,7 +208,7 @@ def test_farfield_load_quoted_blank_and_crlf(tmp_path):
         ),
         (
             write_sweep_csv,
-            [SweepPoint(5e8, 20.0, 1e-3, 1.1e-3, 1.2, np.int64(3))],
+            [(5e8, 20.0, 1e-3, 1.1e-3, 1.2, np.int64(3))],
             SWEEP_HEADER,
             "500000000.0,20.0,0.001,0.0011,1.2,3",
         ),
@@ -373,14 +373,14 @@ def test_manifest_contents(tmp_path):
 
 
 def test_report_dict_json_safe():
-    point = SweepPoint(np.float64(5e8), 20.0, np.float64(1e-3), 1.1e-3, 1.2, np.int64(3))
-    doc = report_dict(point)
-    assert type(doc["delta_f_hz"]) is float
-    assert type(doc["failures"]) is int
+    report = MonteCarloReport(np.int64(200), np.float64(1e-12), 1e-13, np.float64(1.2), np.int64(3))
+    doc = report_dict(report)
+    assert type(doc["rmse_tau"]) is float
+    assert type(doc["trials"]) is int and type(doc["failures"]) is int
     json.dumps(doc)  # must serialize without a custom encoder
-    nan_point = SweepPoint(5e8, 0.0, 1e-3, float("nan"), np.float64(np.inf), 200)
-    doc = report_dict(nan_point)
-    assert doc["mc_rmse_range_m"] is None and doc["crlb_ratio"] is None
+    nan_report = MonteCarloReport(200, float("nan"), 0.0, np.float64(np.inf), 200)
+    doc = report_dict(nan_report)
+    assert doc["rmse_tau"] is None and doc["crlb_ratio"] is None
     assert doc["failures"] == 200
 
 

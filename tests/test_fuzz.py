@@ -1,11 +1,14 @@
 """Property tests of the input parsers: every generated input either parses to
 what a plain reference reader gives, or is rejected with ValueError (exit 1
-and one error line through the CLI)."""
+and one error line through the CLI).  Touchstone files and scenario JSON go
+through the CLI only: exit 0 with finite outputs, or exit 1 with one error line."""
 
 import csv
 import io
 import itertools
+import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -202,3 +205,172 @@ def test_region_through_cli_exits_cleanly(cut_path, text):
         assert code == 1 and errors == [expected]
     else:
         assert (code, len(errors)) in ((0, 0), (1, 1))
+
+
+def run_clean(argv) -> tuple:
+    """Exit code and stdout of one in-process CLI call that raised no warning
+    and wrote nothing to stderr but, on exit 1, one ``rangekit: error:`` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), redirect_stdout(out):
+        warnings.simplefilter("always")
+        code = dispatch(argv)
+    assert [str(w.message) for w in caught] == []
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+        return code, out.getvalue()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("rangekit: error: "), lines
+    assert out.getvalue() == ""
+    return code, ""
+
+
+def reject_constant(name):
+    raise AssertionError(f"non-finite {name} in a report")
+
+
+def assert_finite_report(text):
+    """Every number in the JSON report ``text`` is finite."""
+    assert text
+    json.loads(text, parse_constant=reject_constant)
+
+
+# Touchstone option lines, each with the S11 values its format takes; damage
+# brings in cells that float() and np.loadtxt read differently or not at all,
+# and option lines that are malformed, repeated or placed after the data
+OPTIONS = st.sampled_from([
+    ("# HZ S DB R 50", st.floats(-40.0, 2.0)),
+    ("# GHZ S DB", st.floats(-40.0, 2.0)),
+    ("# MHZ S MA R 50", st.floats(0.005, 1.5)),
+    ("", st.floats(0.005, 1.5)),  # no option line: GHZ S MA R 50
+    ("# khz s ri ! lower case", st.floats(-1.0, 1.0)),
+])
+TS_NUMBER = st.sampled_from(["0", "-0", "1e308", "5e-324", "nan", "inf", "1_0", "x", "0x1",
+                             "1e999"])
+BAD_OPTIONS = st.sampled_from(["#", "# R", "# R x", "# GHZ Z MA", "# GHZ S XX", "# HZ S DB R 50"])
+
+
+@st.composite
+def touchstone_texts(draw):
+    """A one-port Touchstone text: comments, an option line and rows, then optional damage."""
+    option, values = draw(OPTIONS)
+    lines = draw(st.lists(st.sampled_from(["! comment", "", "  ! indented"]), max_size=2))
+    lines.append(option)
+    start = draw(st.sampled_from([1.0, 1e3, 1.5e9, 0.0, -2.0]))
+    step = draw(st.sampled_from([1.0, 0.25, 1e6]))
+    for i in range(draw(st.integers(2, 12))):
+        lines.append(f"{start + i * step!r} {draw(values)!r} {draw(values)!r}")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(lines) - 1))
+        cells = lines[i].split()
+        action = draw(st.sampled_from(["drop", "add", "cell", "comment", "option", "tab", "swap"]))
+        if action == "option":
+            lines.insert(draw(st.integers(0, len(lines))), draw(BAD_OPTIONS))
+        elif action == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif cells:
+            if action == "drop":
+                cells.pop()
+            elif action == "add":
+                cells.append(draw(TS_NUMBER))
+            elif action == "cell":
+                cells[draw(st.integers(0, len(cells) - 1))] = draw(TS_NUMBER)
+            elif action == "comment":
+                cells.append("! trailing")
+            lines[i] = ("\t" if action == "tab" else " ").join(cells)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=touchstone_texts())
+@example("# HZ S DB R 50\n0 -20 0\n1 -5 0\n")  # a band whose resonance sits at 0 Hz
+@example("# GHZ S DB\n1e308 -20 0\n2e308 -5 0\n")  # frequencies overflow in Hz
+def test_touchstone_through_cli_exits_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.s1p"
+    path.write_bytes(text.encode())
+    code, out = run_clean(["s11-bands", "--in", str(path)])
+    if code == 0:
+        assert_finite_report(out)
+
+
+# scenario values: sizes stay small, so every accepted scenario runs in
+# milliseconds; BAD_VALUES break a field's type or range, and an integer past
+# int64 goes only into fields that do not size an array or a loop
+BAD_VALUES = st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, -1, 0, -0.5,
+                              True, None, "x", [], {}, [1.0, "x"]])
+SIZE_KEYS = {"duration_s", "sample_rate_hz", "trials", "n_nodes"}
+TONE_HZ = st.sampled_from([2e8, 5e8, 7e8, 1e9, 1.9e9, 0.0, -5e8, 2**64])
+SECTIONS = {
+    "waveform": {
+        "duration_s": st.sampled_from([2.5e-7, 1e-6, 1e-9]),
+        "sample_rate_hz": st.sampled_from([4e9, 2e9, 1e9]),
+    },
+    "ranging": {
+        "snr_db": st.sampled_from([25.0, 0.0, -10.0, 60.0, 300.0, 1e5, -1e5]),
+        "true_delay_s": st.sampled_from([5e-10, 0.0, 1e-10, 1.99e-9, -1e-9, 1e300]),
+        "two_way": st.booleans(),
+        "trials": st.sampled_from([1, 20]),
+    },
+    "beamform": {
+        "n_nodes": st.sampled_from([2, 10, 1]),
+        "f_action_hz": st.sampled_from([1.88e9, 1.0, 1e15]),
+        "sigma_range_m": st.sampled_from([0.004, 0.0, 1e3, 1e300]),
+        "trials": st.sampled_from([1, 50]),
+    },
+}
+
+
+@st.composite
+def scenario_docs(draw):
+    """A scenario document with some of its sections, then optional damage."""
+    doc = {"seed": draw(st.sampled_from([0, 3, 2**64 - 1]))}
+    for name, fields in SECTIONS.items():
+        if draw(st.sampled_from([True] * 4 + [False])):
+            doc[name] = {key: draw(value) for key, value in fields.items()}
+    wf = doc.get("waveform")
+    if wf is not None and draw(st.booleans()):
+        wf["separation_hz"] = draw(st.sampled_from([5e8, 1e9, 2e8, 3e9]))
+    elif wf is not None:
+        n = draw(st.integers(1, 3))
+        tones = st.lists(TONE_HZ, min_size=n, max_size=n, unique=True)
+        wf["tone_frequencies_hz"] = sorted(draw(tones))
+        for key, values in (("tone_amplitudes", [1.0, 0.5, 0.0]), ("tone_phases_rad", [0.0, -3.0])):
+            if draw(st.booleans()):
+                wf[key] = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        name = draw(st.sampled_from(sorted(doc)))
+        target = doc[name] if isinstance(doc[name], dict) and draw(st.integers(0, 4)) else doc
+        key = name if target is doc else draw(st.sampled_from(sorted(target) or ["unknown"]))
+        action = draw(st.sampled_from(["value", "value", "drop", "unknown"]))
+        if action == "value":
+            bad = BAD_VALUES if key in SIZE_KEYS else st.one_of(BAD_VALUES, st.just(2**64))
+            target[key] = draw(bad)
+        elif action == "drop":
+            target.pop(key, None)
+        else:
+            target["unknown"] = 1
+    return draw(st.sampled_from([doc] * 19 + [draw(BAD_VALUES)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=scenario_docs(), command=st.sampled_from(["waveform", "range-sim", "coherence"]))
+@example(doc={"waveform": {"duration_s": 1e-6, "sample_rate_hz": 4e9, "separation_hz": 5e8},
+              "ranging": {"snr_db": 25.0, "true_delay_s": 5e-10}}, command="range-sim")
+@example(doc={"waveform": {"duration_s": 1e-6, "sample_rate_hz": 4e9, "separation_hz": 5e8},
+              "ranging": {"snr_db": 1e5, "true_delay_s": 5e-10}}, command="range-sim")
+@example(doc={"waveform": {"duration_s": 1e-6, "sample_rate_hz": 4e9,
+                           "tone_frequencies_hz": [0.0, 2**64]}}, command="waveform")
+@example(doc={"beamform": {"n_nodes": 2, "f_action_hz": 1.0, "sigma_range_m": 1e300}},
+         command="coherence")  # sigma_phi**2 overflows
+@example(doc={"beamform": {"n_nodes": 2, "f_action_hz": 2**64, "sigma_range_m": 1e300}},
+         command="coherence")  # sigma_phi overflows
+def test_scenario_through_cli_exits_cleanly(tmp_path_factory, doc, command):
+    path = tmp_path_factory.getbasetemp() / "fuzz_scenario.json"
+    path.write_text(json.dumps(doc))
+    # a scenario's trial counts are checked but kept small here, so
+    # coherence's default 100000 trials do not slow every example
+    trials = [] if command == "waveform" else ["--trials", "20"]
+    code, out = run_clean([command, "--scenario", str(path), *trials])
+    if code == 0:
+        assert_finite_report(out)

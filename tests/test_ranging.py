@@ -152,7 +152,7 @@ def test_scenario_validation():
     for sample_rate, duration, delay in ((np.inf, 1e-6, 0.0), (4e9, np.inf, 0.0), (4e9, 1e-6, np.inf)):
         with pytest.raises(ValueError, match="finite"):
             RangingScenario(ts, 16.0, delay, True, sample_rate, duration)
-    for snr_db in (np.nan, -np.inf):
+    for snr_db in (np.nan, -np.inf, 300.5, -1e5):
         with pytest.raises(ValueError, match="snr_db"):
             RangingScenario(ts, snr_db, 0.0, True, 4e9, 1e-6)
     # 1/df = 1 us on a 0.25 us record: lags past the record repeat the correlation
@@ -348,13 +348,13 @@ def test_window_setup_reused_across_snr(tmp_path, capsys):
             _window_setup.cache_clear()
             sc = RangingScenario(ToneSet.two_tone(sep), snr, 0.3 / sep, False, 4e9, 2.5e-7, seed=3)
             rep = monte_carlo(sc, 600)
-            points.append(fileio.SweepPoint(
-                delta_f_hz=sep,
-                snr_db=snr,
-                crlb_std_range_m=crlb_result(sc.zeta_f2(), snr, False).std_range,
-                mc_rmse_range_m=delay_to_range(rep.rmse_tau, False),
-                crlb_ratio=rep.crlb_ratio,
-                failures=rep.failures,
+            points.append((
+                sep,
+                snr,
+                crlb_result(sc.zeta_f2(), snr, False).std_range,
+                delay_to_range(rep.rmse_tau, False),
+                rep.crlb_ratio,
+                rep.failures,
             ))
     fileio.write_sweep_csv(points, tmp_path / "cells.csv")
     assert out.read_bytes() == (tmp_path / "cells.csv").read_bytes()
