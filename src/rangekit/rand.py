@@ -5,6 +5,9 @@ bulk, in row-major trial order, from one counter-based Philox generator keyed
 by (master seed, block start).  Workers run whole blocks and results are
 assembled in trial-index order, so reports are bit-identical for any worker
 count, and a partial last block draws a prefix of the full block's stream.
+The Monte Carlo engines return per-block sums rather than per-trial values,
+and build their reports from those sums added in block order, so their
+memory does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -41,11 +44,21 @@ def partition(trials: int, workers: int) -> list[range]:
 def run_trials(chunk_fn, trials: int, workers: int = 1) -> np.ndarray:
     """Call ``chunk_fn(block)`` once per block of trial indices, each worker
     running one contiguous run of blocks, and concatenate the returned arrays
-    (leading axis = the block's trials) in index order."""
+    in index order.  A block returns one row per trial or a fixed number of
+    summary rows, never more rows than a full block.  Rows are copied into
+    one buffer per worker as each block finishes, so no per-block array
+    outlives its block."""
 
     def run_chunk(chunk: range) -> np.ndarray:
-        starts = range(chunk.start, chunk.stop, BLOCK_TRIALS)
-        return np.concatenate([chunk_fn(range(s, min(s + BLOCK_TRIALS, chunk.stop))) for s in starts])
+        out, end = None, 0
+        for start in range(chunk.start, chunk.stop, BLOCK_TRIALS):
+            rows = chunk_fn(range(start, min(start + BLOCK_TRIALS, chunk.stop)))
+            if out is None:  # the first block is full unless it is the chunk's only one
+                n_blocks = -(-len(chunk) // BLOCK_TRIALS)
+                out = np.empty((n_blocks * len(rows), *rows.shape[1:]), rows.dtype)
+            out[end:end + len(rows)] = rows
+            end += len(rows)
+        return out[:end]
 
     chunks = partition(trials, workers)
     if len(chunks) == 1:  # stay in this thread: a fresh thread's malloc arena inflates peak RSS

@@ -290,10 +290,12 @@ def monte_carlo(scenario: RangingScenario, trials: int, workers: int = 1) -> Mon
     and true delay are unchanged.  Trials whose error exceeds half the
     ambiguity spacing are failures, excluded from the RMSE.  Noise is drawn
     per block of :data:`rand.BLOCK_TRIALS` trials from a generator keyed by
-    (scenario.seed, block start), so the report is bit-identical for any
-    worker count.  This is the one-scenario call of
-    :func:`monte_carlo_column`, and its report equals that scenario's report
-    from any column it belongs to.
+    (scenario.seed, block start), and each block reduces its delay errors
+    to a failure count, sum and sum of squares; the report is built from
+    those sums added in block order.  So memory does not grow with the
+    trial count, and the report is bit-identical for any worker count.
+    This is the one-scenario call of :func:`monte_carlo_column`, and its
+    report equals that scenario's report from any column it belongs to.
     """
     return monte_carlo_column([scenario], trials, workers)[0]
 
@@ -321,40 +323,41 @@ def monte_carlo_column(scenarios, trials: int, workers: int = 1) -> list[MonteCa
         first.tones, first.duration, fs, first.true_delay, first.ambiguity_window()
     )
     scales = [_noise_sigma(sc.snr_db, fs) / np.sqrt(2.0) for sc in scenarios]
+    sep = first.tones.separation
+    fail_threshold = 0.5 / sep if sep > 0 else np.inf
 
     def run_block(block: range) -> np.ndarray:
         rng = rand.trial_generator(first.seed, block.start)
         z = rng.standard_normal((len(block), 2 * len(unit_factor))).view(complex)
-        tau = np.empty((len(block), len(scales)))
+        sums = np.empty((1, 3, len(scales)))
         for j, scale in enumerate(scales):  # one (k, L) envelope at a time bounds the block's memory
-            tau[:, j] = _refine_peaks(np.abs(clean + z @ (scale * unit_factor)), lags, fs)
-        return tau
+            tau = _refine_peaks(np.abs(clean + z @ (scale * unit_factor)), lags, fs)
+            err = tau - first.true_delay
+            failed = np.abs(err) > fail_threshold
+            ok = err[~failed]
+            sums[0, :, j] = np.count_nonzero(failed), np.sum(ok), np.sum(ok**2)
+        return sums
 
-    err = rand.run_trials(run_block, trials, workers) - first.true_delay
-    sep = first.tones.separation
-    fail_threshold = 0.5 / sep if sep > 0 else np.inf
+    failures, err_sum, err2_sum = rand.run_trials(run_block, trials, workers).sum(axis=0)
     zeta_f2 = first.zeta_f2()
     return [
-        _report(err[:, j], fail_threshold, crlb_toa(zeta_f2, sc.snr_db))
+        _report(trials, int(failures[j]), err_sum[j], err2_sum[j], crlb_toa(zeta_f2, sc.snr_db))
         for j, sc in enumerate(scenarios)
     ]
 
 
-def _report(err: np.ndarray, fail_threshold: float, bound: float) -> MonteCarloReport:
-    """Summary of one scenario's per-trial delay errors against its variance bound."""
-    failed = np.abs(err) > fail_threshold
-    ok = err[~failed]
-    if len(ok) > 0:
-        rmse = float(np.sqrt(np.mean(ok**2)))
-        bias = float(np.mean(ok))
-    else:
-        rmse = float("nan")
-        bias = float("nan")
+def _report(trials: int, failures: int, err_sum: float, err2_sum: float,
+            bound: float) -> MonteCarloReport:
+    """Summary of one scenario against its variance bound, from its failure
+    count and the sum and sum of squares of the other trials' delay errors."""
+    ok = trials - failures
+    rmse = float(np.sqrt(err2_sum / ok)) if ok > 0 else float("nan")
+    bias = float(err_sum / ok) if ok > 0 else float("nan")
     ratio = rmse**2 / bound if bound > 0 else float("inf")
     return MonteCarloReport(
-        trials=len(err),
+        trials=trials,
         rmse_tau=rmse,
         bias_tau=bias,
         crlb_ratio=ratio,
-        failures=int(np.count_nonzero(failed)),
+        failures=failures,
     )

@@ -181,8 +181,11 @@ def synth_two_tone(tones: ToneSet, duration: float, sample_rate: float) -> Sampl
             f"frequency {f_max:g} Hz"
         )
     n = int(round(duration * sample_rate))
-    if n < 1:
-        raise ValueError("duration too short for one sample")
+    if n < 2:
+        raise ValueError(
+            f"a {duration:g} s record at {sample_rate:g} Hz holds {n} sample(s); "
+            "at least 2 are needed"
+        )
     t = np.arange(n) / sample_rate
     x = np.zeros(n, dtype=complex)
     for tone in tones.tones:

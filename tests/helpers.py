@@ -1,4 +1,6 @@
-"""Shared synthetic fixtures for the metric-pipeline tests."""
+"""Shared synthetic fixtures and measurements for the tests."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -28,3 +30,16 @@ def three_dip_trace(step_hz=1e6) -> SParamTrace:
         dips.append(s_min + curvature * (f - fc) ** 2)
     s = np.minimum(np.minimum(dips[0], dips[1]), dips[2])
     return SParamTrace(frequency_hz=f, s11_db=np.minimum(s, 0.0))
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``tracemalloc`` traces above its starting level while
+    ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

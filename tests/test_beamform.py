@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import traced_peak
 from rangekit import SPEED_OF_LIGHT
 from rangekit.beamform import (
     CoherenceScenario,
@@ -96,8 +97,24 @@ def test_workers_do_not_change_results():
         base = gain_fractions(scen, workers=1)
         # a run's first trials do not depend on the total trial count
         assert np.array_equal(base, longest[:trials])
+        # the report sums each block's gains, so it matches the per-trial
+        # values up to the order of the additions
+        report = coherent_gain(scen, workers=1)
+        assert report.p_gain_above_90pct == np.mean(base > 0.9)
+        assert report.mean_gain_fraction == pytest.approx(np.mean(base), rel=1e-12)
         for workers in (2, 3, 8):
             assert np.array_equal(gain_fractions(scen, workers=workers), base)
+            assert coherent_gain(scen, workers=workers) == report
+
+
+def test_coherent_gain_memory_does_not_grow_with_trials():
+    # each block is reduced to two sums as it finishes, so 8x the trials
+    # adds only those sums to the peak
+    def run(trials):
+        coherent_gain(CoherenceScenario(10, F_ACTION, sigma_range_for(0.5), trials=trials, seed=3))
+
+    run(1000)  # warm up: first-call allocations are not part of a run's cost
+    assert traced_peak(lambda: run(400_000)) - traced_peak(lambda: run(50_000)) <= 64 * 1024
 
 
 def test_scenario_validation():

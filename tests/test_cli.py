@@ -220,6 +220,16 @@ def test_non_finite_record_size_exits_1(tmp_path, capsys, argv):
     assert captured.err.startswith("rangekit: error: ") and "finite" in captured.err
 
 
+def test_short_record_exits_1(capsys):
+    # 1 ns at 1 GS/s is a one-sample record, too short for a spectrum
+    argv = ["waveform", "--separation", "2e8", "--duration", "1e-9", "--sample-rate", "1e9"]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr() == (
+        "",
+        "rangekit: error: a 1e-09 s record at 1e+09 Hz holds 1 sample(s); at least 2 are needed\n",
+    )
+
+
 def assert_one_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""

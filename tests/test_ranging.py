@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from helpers import traced_peak
 from rangekit import SPEED_OF_LIGHT, fileio, rand
 from rangekit.cli import dispatch
 from rangekit.ranging import (
@@ -257,6 +258,15 @@ def test_monte_carlo_deterministic_across_workers():
         reports = [monte_carlo(sc, trials, workers=w) for w in (1, 2, 3, 8)]
         assert reports[0].failures == 0
         assert reports[0] == reports[1] == reports[2] == reports[3]
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials():
+    # each block is reduced to a failure count and two error sums as it
+    # finishes, so 8x the trials adds only those sums to the peak
+    sc = RangingScenario(ToneSet.two_tone(5e8), 25.0, 0.6e-9, False, 4e9, 1e-6, seed=4)
+    monte_carlo(sc, 1000)  # warm up, including the cached set-up
+    peaks = [traced_peak(lambda: monte_carlo(sc, trials)) for trials in (50_000, 400_000)]
+    assert peaks[1] - peaks[0] <= 64 * 1024
 
 
 @pytest.mark.parametrize("duration", [1e-6, 2.5e-7], ids=["1us", "250ns-qr"])
