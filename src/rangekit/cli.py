@@ -2,10 +2,13 @@
 
 Subcommands: waveform, range-sim, phase-center, s11-bands, gain-stats,
 coherence, geometry, sweep.  Exit codes: 0 success, 1 validation/usage
-error, 2 I/O error.  Every file-writing run drops a ``*.manifest.json``
-next to its primary output recording the tool version, input digests and
-fully resolved parameters; outputs are byte-reproducible for a fixed
-scenario and seed (the manifest timestamp is the one exception).
+error, 2 I/O error.  One rule, in :func:`_finish`, places every output: a
+relative ``--out`` lands in the scenario's ``output_dir`` (the working
+directory without a scenario), and every file-writing run drops
+``<out>.manifest.json`` beside it recording the tool version, the digests
+of the ``--scenario``/``--in``/``--cut`` files, the fully resolved
+parameters and every file written.  Outputs are byte-reproducible for a
+fixed scenario and seed (the manifest timestamp is the one exception).
 """
 
 from __future__ import annotations
@@ -103,11 +106,6 @@ def parse_region(text: str) -> tuple:
     return (lo, hi)
 
 
-def _emit(args, doc) -> None:
-    if not args.quiet:
-        print(json.dumps(doc, indent=2, allow_nan=False))
-
-
 def _load_config(args) -> fileio.ScenarioConfig:
     """The ``--scenario`` file, or the empty scenario without one."""
     if args.scenario is None:
@@ -128,8 +126,24 @@ def _overlay(args, section, cls, name):
     return fileio.parse_section(raw, cls, name)
 
 
-def _resolve_out(out, config):
-    return None if out is None else Path(config.output_dir) / out
+def _finish(args, params=None, doc=None, write=None, status=None, output_dir=".") -> int:
+    """Write ``--out`` (relative to ``output_dir``) and its manifest of
+    ``params``, then report; every subcommand ends here and returns 0.
+
+    ``write(path)`` writes the primary file, the JSON ``doc`` without one,
+    and returns any other paths it wrote.  Unless ``--quiet``, stdout gets
+    the line ``status(path)``, or else ``doc`` as JSON.
+    """
+    out = getattr(args, "out", None)
+    if out is not None:
+        out = Path(output_dir) / out
+        extra = fileio.dump_json(doc, out) if write is None else write(out)
+        named = [getattr(args, name, None) for name in ("scenario", "infile", "cut")]
+        inputs = [p for v in named if v is not None for p in (v if isinstance(v, list) else [v])]
+        fileio.write_manifest(out, args.argv, params, inputs, extra_outputs=extra or ())
+    if not args.quiet:
+        print(json.dumps(doc, indent=2, allow_nan=False) if status is None else status(out))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +177,8 @@ def _cmd_waveform(args) -> int:
         "zeta_f2_discrete_rad2_s2": zeta_discrete,
         "ratio_vs_flat_spectrum": (zeta_analytic / rect_rms_bandwidth(sep)) if sep > 0 else None,
     }
-    out = _resolve_out(args.out, config)
-    if out is not None:
-        fileio.write_spectrum_csv(spectrum, out)
-        inputs = [args.scenario] if args.scenario else []
-        fileio.write_manifest(out, args.argv, doc, inputs)
-    _emit(args, doc)
-    return 0
+    return _finish(args, doc, doc, lambda out: fileio.write_spectrum_csv(spectrum, out),
+                   output_dir=config.output_dir)
 
 
 def _cmd_range_sim(args) -> int:
@@ -195,12 +204,7 @@ def _cmd_range_sim(args) -> int:
         "monte_carlo": fileio.report_dict(report),
         "mc_rmse_range_m": fileio.finite_or_none(mc_rmse_range_m),
     }
-    out = _resolve_out(args.out, config)
-    if out is not None:
-        fileio.dump_json(doc, out)
-        fileio.write_manifest(out, args.argv, doc["scenario"], [args.scenario])
-    _emit(args, doc)
-    return 0
+    return _finish(args, doc["scenario"], doc, output_dir=config.output_dir)
 
 
 def _load_single_cut(path):
@@ -226,20 +230,15 @@ def _cmd_phase_center(args) -> int:
         "angles": len(series),
         "stats": fileio.report_dict(stats),
     }
-    if args.out is not None:
-        out = Path(args.out)
+
+    def write(out):
         fileio.write_displacement_csv(series, out)
         stats_path = out.with_suffix(".stats.json")
         fileio.dump_json(doc, stats_path)
-        fileio.write_manifest(
-            out,
-            args.argv,
-            {k: doc[k] for k in ("frequency_a_hz", "frequency_b_hz", "window_deg", "beam_region_deg")},
-            list(args.cut),
-            extra_outputs=[stats_path],
-        )
-    _emit(args, doc)
-    return 0
+        return [stats_path]
+
+    params = {k: doc[k] for k in ("frequency_a_hz", "frequency_b_hz", "window_deg", "beam_region_deg")}
+    return _finish(args, params, doc, write)
 
 
 def _cmd_s11_bands(args) -> int:
@@ -249,15 +248,9 @@ def _cmd_s11_bands(args) -> int:
         "threshold_db": args.threshold,
         "bands": [fileio.report_dict(b) for b in bands],
     }
-    if args.out is not None:
-        out = Path(args.out)
-        if out.suffix.lower() == ".csv":
-            fileio.write_bands_csv(bands, out)
-        else:
-            fileio.dump_json(doc, out)
-        fileio.write_manifest(out, args.argv, {"threshold_db": args.threshold}, [args.infile])
-    _emit(args, doc)
-    return 0
+    csv = args.out is not None and Path(args.out).suffix.lower() == ".csv"
+    write = (lambda out: fileio.write_bands_csv(bands, out)) if csv else None
+    return _finish(args, {"threshold_db": args.threshold}, doc, write)
 
 
 def _cmd_gain_stats(args) -> int:
@@ -269,13 +262,7 @@ def _cmd_gain_stats(args) -> int:
         "mean_domain": "linear" if args.linear_mean else "db",
         "stats": [fileio.report_dict(s) for s in stats],
     }
-    if args.out is not None:
-        fileio.dump_json(doc, args.out)
-        fileio.write_manifest(
-            Path(args.out), args.argv, {"region_deg": list(region)}, [args.cut]
-        )
-    _emit(args, doc)
-    return 0
+    return _finish(args, {"region_deg": list(region)}, doc)
 
 
 def _cmd_coherence(args) -> int:
@@ -292,6 +279,8 @@ def _cmd_coherence(args) -> int:
         """(sigma_phi, report) for a per-node ranging std ``sig``."""
         if args.two_way:  # a retrodirective link doubles the phase error per meter
             sig = 2.0 * sig
+            if not np.isfinite(sig):
+                raise ValueError("the two-way range error 2*sigma_range_m overflows")
         scenario = beamform.CoherenceScenario(**asdict(replace(bf, sigma_range_m=sig)), seed=seed)
         return scenario.sigma_phi(), beamform.coherent_gain(scenario, workers=args.workers)
 
@@ -303,26 +292,18 @@ def _cmd_coherence(args) -> int:
         "trials": bf.trials,
         "seed": seed,
     }
-    inputs = [args.scenario] if args.scenario else []
     if args.sigma_grid is not None:
         if args.out is None:
             raise ValueError("--sigma-grid needs --out for the CSV")
-        rows = [(sig, *report_for(sig)) for sig in parse_grid(args.sigma_grid)]
-        fileio.write_coherence_grid_csv(rows, args.out)
+        # Python floats, so an overflowing point raises its message without a numpy warning
+        rows = [(sig, *report_for(sig)) for sig in parse_grid(args.sigma_grid).tolist()]
         params["sigma_grid"] = args.sigma_grid
-        fileio.write_manifest(Path(args.out), args.argv, params, inputs)
-        if not args.quiet:
-            print(f"wrote {len(rows)} grid points to {args.out}")
-        return 0
+        return _finish(args, params, write=lambda out: fileio.write_coherence_grid_csv(rows, out),
+                       status=lambda out: f"wrote {len(rows)} grid points to {out}",
+                       output_dir=config.output_dir)
     sigma_phi, rep = report_for(bf.sigma_range_m)
-    doc = dict(params)
-    doc["sigma_phi_rad"] = sigma_phi
-    doc["report"] = fileio.report_dict(rep)
-    if args.out is not None:
-        fileio.dump_json(doc, args.out)
-        fileio.write_manifest(Path(args.out), args.argv, params, inputs)
-    _emit(args, doc)
-    return 0
+    doc = dict(params, sigma_phi_rad=sigma_phi, report=fileio.report_dict(rep))
+    return _finish(args, params, doc, output_dir=config.output_dir)
 
 
 def _cmd_geometry(args) -> int:
@@ -333,16 +314,12 @@ def _cmd_geometry(args) -> int:
             for v in violations:
                 print(f"violation: {v}", file=sys.stderr)
             return 1
-        if not args.quiet:
-            print(f"{args.infile}: all {len(dims.lengths_mm)} dimensions consistent")
-        return 0
-    # reference
+        return _finish(args, status=lambda out: (
+            f"{args.infile}: all {len(dims.lengths_mm)} dimensions consistent"))
     dims = geometry.reference_dimensions()
-    geometry.save_dimensions(dims, args.out)
-    fileio.write_manifest(Path(args.out), args.argv, {"source": "built-in reference design"})
-    if not args.quiet:
-        print(f"wrote reference dimensions to {args.out}")
-    return 0
+    return _finish(args, {"source": "built-in reference design"},
+                   write=lambda out: geometry.save_dimensions(dims, out),
+                   status=lambda out: f"wrote reference dimensions to {out}")
 
 
 def _cmd_sweep(args) -> int:
@@ -376,7 +353,6 @@ def _cmd_sweep(args) -> int:
                 report.crlb_ratio,
                 report.failures,
             ))
-    fileio.write_sweep_csv(rows, args.out)
     params = {
         "delta_f_grid_hz": args.delta_f,
         "snr_grid_db": args.snr,
@@ -387,10 +363,8 @@ def _cmd_sweep(args) -> int:
         "two_way": args.two_way,
         "delay_fraction": args.delay_fraction,
     }
-    fileio.write_manifest(Path(args.out), args.argv, params)
-    if not args.quiet:
-        print(f"wrote {len(rows)} grid points to {args.out}")
-    return 0
+    return _finish(args, params, write=lambda out: fileio.write_sweep_csv(rows, out),
+                   status=lambda out: f"wrote {len(rows)} grid points to {out}")
 
 
 # ---------------------------------------------------------------------------

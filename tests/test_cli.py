@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through the in-process dispatcher."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -15,7 +16,7 @@ from helpers import three_dip_trace
 import rangekit
 from rangekit.antenna_metrics import write_touchstone
 from rangekit.cli import build_parser, dispatch, parse_grid, parse_region
-from rangekit.fileio import save_farfield_cuts
+from rangekit.fileio import manifest_path_for, save_farfield_cuts
 from rangekit.geometry import load_dimensions, reference_dimensions, save_dimensions, validate
 from rangekit.phase_center import point_source_cut
 
@@ -253,6 +254,27 @@ def test_non_finite_grid_exits_1(tmp_path, capsys, argv):
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--sigma-range", "0.004", "--trials", "10", "--sigma-grid", "0:1e300:1e301",
+          "--out", "g.csv"], "the phase error 2*pi*f_action_hz*sigma_range_m/c overflows"),
+        (["--sigma-range", "1e308", "--two-way"], "the two-way range error 2*sigma_range_m overflows"),
+    ],
+    ids=["grid-point", "two-way-doubling"],
+)
+def test_coherence_overflow_stderr_is_one_error_line(tmp_path, argv, message):
+    # a subprocess, so a numpy warning printed before the error line shows in stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(rangekit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rangekit.cli", "coherence", "--nodes", "10",
+         "--f-action", "1.88e9", *argv],
+        capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"rangekit: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_window_longer_than_record_exits_1(tmp_path, capsys):
     doc = json.loads(scenario_file(tmp_path, trials=10).read_text())
     doc["waveform"]["separation_hz"] = 1e6  # 1 us window on a 0.25 us record
@@ -480,6 +502,24 @@ def test_coherence_sigma_grid(tmp_path, capsys):
          "--sigma-range", "0", "--sigma-grid", "0:0.002:0.004"]
     ) == 1
     capsys.readouterr()
+
+
+def test_coherence_outputs_land_in_output_dir(tmp_path, capsys, monkeypatch):
+    doc = json.loads(scenario_file(tmp_path).read_text())
+    doc["output_dir"] = "outdir"
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    (tmp_path / "outdir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    coherence = ["coherence", "--scenario", "scenario.json", "--trials", "200"]
+    assert dispatch(coherence + ["--out", "r.json"]) == 0
+    assert json.loads(Path("outdir/r.json").read_text()) == json.loads(capsys.readouterr().out)
+    assert dispatch(coherence + ["--sigma-grid", "0:0.002:0.004", "--out", "g.csv"]) == 0
+    assert capsys.readouterr().out == f"wrote 3 grid points to {Path('outdir', 'g.csv')}\n"
+    assert sorted(p.name for p in Path("outdir").iterdir()) == [
+        "g.csv", "g.manifest.json", "r.json", "r.manifest.json"]
+    manifest = json.loads(Path("outdir/g.manifest.json").read_text())
+    assert manifest["outputs"] == [str(Path("outdir", "g.csv"))]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "scenario.json"]
 
 
 @pytest.mark.parametrize(
@@ -783,6 +823,27 @@ def test_quiet_silences_every_subcommand_and_action(quiet_inputs, capsys, name):
     for quiet_argv in [argv[:i] + ["-q"] + argv[i:] for i in positions] + [argv + ["--quiet"]]:
         assert dispatch(quiet_argv) == 0
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "name, out",
+    [("waveform", "spec.csv"), ("range-sim", "report.json"), ("phase-center", "series.csv"),
+     ("s11-bands", "bands.csv"), ("s11-bands", "bands.json"), ("gain-stats", "gain.json"),
+     ("coherence", "coherence.json"), ("coherence-grid", None), ("geometry-reference", None),
+     ("sweep", None)],
+)
+def test_manifest_lists_every_output_and_input(quiet_inputs, tmp_path, capsys, name, out):
+    argv = quiet_inputs[name] + ([] if out is None else ["--out", str(tmp_path / out)])
+    before = set(tmp_path.rglob("*"))
+    assert dispatch(argv) == 0
+    capsys.readouterr()
+    written = set(tmp_path.rglob("*")) - before
+    primary = Path(argv[argv.index("--out") + 1])
+    manifest = json.loads(manifest_path_for(primary).read_text())
+    assert str(primary) == manifest["outputs"][0]
+    assert {Path(p) for p in manifest["outputs"]} | {manifest_path_for(primary)} == written
+    named = [value for flag, value in zip(argv, argv[1:]) if flag in ("--scenario", "--in", "--cut")]
+    assert manifest["inputs"] == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in named}
 
 
 @pytest.mark.parametrize(
