@@ -91,22 +91,17 @@ def analytic_gain_fraction(n_nodes: int, sigma_phi: float) -> float:
     return float((1.0 + (n_nodes - 1) * np.exp(-(min(sigma_phi, 28.0) ** 2))) / n_nodes)
 
 
-def _block_gains(scenario: CoherenceScenario):
-    """The block kernel: ``gains(block)`` is the gain fraction of each trial
-    of one block, drawn from the block's generator (see :mod:`rangekit.rand`)."""
+def _block_gains(scenario: CoherenceScenario, block: range) -> np.ndarray:
+    """The block kernel: the gain fraction of each trial of one block, drawn
+    from the block's generator (see :mod:`rangekit.rand`)."""
     n = scenario.n_nodes
-    sigma = scenario.sigma_phi()
-
-    def gains(block: range) -> np.ndarray:
-        phi = rand.trial_generator(scenario.seed, block.start).standard_normal((len(block), n))
-        return np.abs(np.sum(np.exp(1j * sigma * phi), axis=1)) ** 2 / n**2
-
-    return gains
+    phi = rand.trial_generator(scenario.seed, block.start).standard_normal((len(block), n))
+    return np.abs(np.sum(np.exp(1j * scenario.sigma_phi() * phi), axis=1)) ** 2 / n**2
 
 
-def gain_fractions(scenario: CoherenceScenario, workers: int = 1) -> np.ndarray:
-    """Per-trial gain fractions, deterministic in the seed (see :mod:`rangekit.rand`)."""
-    return rand.run_trials(_block_gains(scenario), scenario.trials, workers)
+def gain_fractions(scenario: CoherenceScenario) -> np.ndarray:
+    """Per-trial gain fractions, drawn block by block as :func:`coherent_gain` draws them."""
+    return np.concatenate([_block_gains(scenario, b) for b in rand.blocks(range(scenario.trials))])
 
 
 def coherent_gain(scenario: CoherenceScenario, workers: int = 1) -> CoherentGainReport:
@@ -114,18 +109,15 @@ def coherent_gain(scenario: CoherenceScenario, workers: int = 1) -> CoherentGain
     and the empirical probability of staying above 0.9.
 
     Each block of trials reduces its gain fractions (those of
-    :func:`gain_fractions`) to their sum and the count above 0.9, and the
-    report is built from those sums added in block order.  Memory therefore
-    does not grow with the trial count, and the report is bit-identical for
-    any worker count.
+    :func:`gain_fractions`) to their sum and the count above 0.9, which
+    :func:`rand.run_trials` adds in block order, so the report is
+    bit-identical for any worker count.
     """
-    gains = _block_gains(scenario)
-
     def run_block(block: range) -> np.ndarray:
-        g = gains(block)
-        return np.array([[np.sum(g), np.count_nonzero(g > 0.9)]])
+        g = _block_gains(scenario, block)
+        return np.array([np.sum(g), np.count_nonzero(g > 0.9)])
 
-    total, above = rand.run_trials(run_block, scenario.trials, workers).sum(axis=0)
+    total, above = rand.run_trials(run_block, scenario.trials, workers)
     return CoherentGainReport(
         mean_gain_fraction=float(total / scenario.trials),
         analytic_gain_fraction=analytic_gain_fraction(scenario.n_nodes, scenario.sigma_phi()),

@@ -14,8 +14,10 @@ fixed scenario and seed (the manifest timestamp is the one exception).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import MISSING, asdict, fields, replace
@@ -126,6 +128,17 @@ def _overlay(args, section, cls, name):
     return fileio.parse_section(raw, cls, name)
 
 
+def _out_path(args, output_dir=".") -> Path | None:
+    """``--out`` under ``output_dir`` (None without one); raises the error its
+    write would raise if its directory is missing, so a handler can fail early."""
+    if getattr(args, "out", None) is None:
+        return None
+    out = Path(output_dir) / args.out
+    if not out.parent.exists():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out))
+    return out
+
+
 def _finish(args, params=None, doc=None, write=None, status=None, output_dir=".") -> int:
     """Write ``--out`` (relative to ``output_dir``) and its manifest of
     ``params``, then report; every subcommand ends here and returns 0.
@@ -134,9 +147,8 @@ def _finish(args, params=None, doc=None, write=None, status=None, output_dir="."
     and returns any other paths it wrote.  Unless ``--quiet``, stdout gets
     the line ``status(path)``, or else ``doc`` as JSON.
     """
-    out = getattr(args, "out", None)
+    out = _out_path(args, output_dir)
     if out is not None:
-        out = Path(output_dir) / out
         extra = fileio.dump_json(doc, out) if write is None else write(out)
         named = [getattr(args, name, None) for name in ("scenario", "infile", "cut")]
         inputs = [p for v in named if v is not None for p in (v if isinstance(v, list) else [v])]
@@ -185,6 +197,7 @@ def _cmd_range_sim(args) -> int:
     config = fileio.load_scenario(args.scenario)
     scenario = config.ranging_scenario(seed=args.seed)
     trials = _overlay(args, config.ranging, fileio.RangingConfig, "ranging").trials
+    _out_path(args, config.output_dir)
     report = monte_carlo(scenario, trials, workers=args.workers)
     bound = crlb_result(scenario.zeta_f2(), scenario.snr_db, scenario.two_way)
     mc_rmse_range_m = delay_to_range(report.rmse_tau, scenario.two_way)
@@ -293,7 +306,7 @@ def _cmd_coherence(args) -> int:
         "seed": seed,
     }
     if args.sigma_grid is not None:
-        if args.out is None:
+        if _out_path(args, config.output_dir) is None:  # checked before any point runs
             raise ValueError("--sigma-grid needs --out for the CSV")
         # Python floats, so an overflowing point raises its message without a numpy warning
         rows = [(sig, *report_for(sig)) for sig in parse_grid(args.sigma_grid).tolist()]
@@ -325,7 +338,7 @@ def _cmd_geometry(args) -> int:
 def _cmd_sweep(args) -> int:
     separations = parse_grid(args.delta_f)
     snrs = parse_grid(args.snr)
-    # every cell is validated before the first Monte Carlo runs
+    # every cell and the output directory are checked before the first Monte Carlo runs
     columns = []
     for sep in separations:
         tones = ToneSet.two_tone(sep)
@@ -341,6 +354,7 @@ def _cmd_sweep(args) -> int:
             )
             for snr in snrs
         ])
+    _out_path(args)
     rows = []
     for sep, column in zip(separations, columns):
         zeta_f2 = column[0].zeta_f2()  # one tone pair per column

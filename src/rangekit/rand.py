@@ -2,15 +2,19 @@
 
 Trials run in fixed blocks of ``BLOCK_TRIALS``, each drawing its noise in
 bulk, in row-major trial order, from one counter-based Philox generator keyed
-by (master seed, block start).  Workers run whole blocks and results are
-assembled in trial-index order, so reports are bit-identical for any worker
-count, and a partial last block draws a prefix of the full block's stream.
-The Monte Carlo engines return per-block sums rather than per-trial values,
-and build their reports from those sums added in block order, so their
-memory does not grow with the trial count.
+by (master seed, block start), so a partial last block draws a prefix of the
+full block's stream.  A block reduces its trials to a small summary (a few
+sums), and :func:`run_trials` adds the summaries left to right in block
+order, so results are bit-identical for any worker count.  With one worker
+only the running sum is kept, and memory does not grow with the trial count;
+with more, each block's summary is held until the ordered sum.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import operator
 
 import numpy as np
 
@@ -41,28 +45,22 @@ def partition(trials: int, workers: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def run_trials(chunk_fn, trials: int, workers: int = 1) -> np.ndarray:
-    """Call ``chunk_fn(block)`` once per block of trial indices, each worker
-    running one contiguous run of blocks, and concatenate the returned arrays
-    in index order.  A block returns one row per trial or a fixed number of
-    summary rows, never more rows than a full block.  Rows are copied into
-    one buffer per worker as each block finishes, so no per-block array
-    outlives its block."""
+def blocks(trials: range):
+    """The blocks of ``trials`` (a block-aligned range), in index order."""
+    for start in range(trials.start, trials.stop, BLOCK_TRIALS):
+        yield range(start, min(start + BLOCK_TRIALS, trials.stop))
 
-    def run_chunk(chunk: range) -> np.ndarray:
-        out, end = None, 0
-        for start in range(chunk.start, chunk.stop, BLOCK_TRIALS):
-            rows = chunk_fn(range(start, min(start + BLOCK_TRIALS, chunk.stop)))
-            if out is None:  # the first block is full unless it is the chunk's only one
-                n_blocks = -(-len(chunk) // BLOCK_TRIALS)
-                out = np.empty((n_blocks * len(rows), *rows.shape[1:]), rows.dtype)
-            out[end:end + len(rows)] = rows
-            end += len(rows)
-        return out[:end]
 
+def run_trials(block_fn, trials: int, workers: int = 1):
+    """Sum ``block_fn(block)`` over the blocks of ``range(trials)``, added left
+    to right in block order, whatever the worker count.  Each worker runs one
+    contiguous chunk of blocks from :func:`partition`; one worker adds each
+    result to the running sum as its block finishes, more keep their blocks'
+    results until their chunks are done."""
     chunks = partition(trials, workers)
     if len(chunks) == 1:  # stay in this thread: a fresh thread's malloc arena inflates peak RSS
-        return run_chunk(chunks[0])
+        return functools.reduce(operator.add, map(block_fn, blocks(chunks[0])))
     from concurrent.futures import ThreadPoolExecutor  # only runs with workers > 1 pay its import
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        return np.concatenate(list(pool.map(run_chunk, chunks)))
+        results = pool.map(lambda chunk: list(map(block_fn, blocks(chunk))), chunks)
+        return functools.reduce(operator.add, itertools.chain.from_iterable(results))

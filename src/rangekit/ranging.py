@@ -218,8 +218,8 @@ def _window_setup(tones: ToneSet, duration: float, sample_rate: float, true_dela
       ``unit_factor.T @ unit_factor.conj()`` is ``G``, the covariance at the
       lags of unit-variance complex white noise correlated against the
       template, and ``z @ unit_factor`` for r standard complex normals is
-      that noise, exactly.  More than L rows are reduced to L by a QR, which
-      leaves ``G`` unchanged.
+      that noise, exactly.  More than L rows are reduced to L by an
+      O(n*L^2) QR, which leaves ``G`` unchanged.
 
     Neither depends on the SNR, so the last result is cached: the SNR column
     of a sweep, or repeated runs of one scenario, set up once.  The returned
@@ -281,21 +281,16 @@ def monte_carlo(scenario: RangingScenario, trials: int, workers: int = 1) -> Mon
 
     Each trial adds independent complex white Gaussian noise (scaled per the
     module SNR convention) to the delayed template and estimates the delay
-    from the correlation at the window's ``fs/df`` + 2 lags.  That noise is
-    drawn there directly, as r <= L complex normals times the factor of
-    :func:`_window_setup`, so the per-trial cost is O(r*L) whatever the
-    record length.  Set-up is one template FFT plus O(r*L) work (and an
-    O(n*L^2) QR when the template's spectrum is spread over more than L
-    bins); it does not depend on the SNR and is reused while the waveform
-    and true delay are unchanged.  Trials whose error exceeds half the
-    ambiguity spacing are failures, excluded from the RMSE.  Noise is drawn
-    per block of :data:`rand.BLOCK_TRIALS` trials from a generator keyed by
-    (scenario.seed, block start), and each block reduces its delay errors
-    to a failure count, sum and sum of squares; the report is built from
-    those sums added in block order.  So memory does not grow with the
-    trial count, and the report is bit-identical for any worker count.
-    This is the one-scenario call of :func:`monte_carlo_column`, and its
-    report equals that scenario's report from any column it belongs to.
+    from the correlation at the window's ``fs/df`` + 2 lags, where that noise
+    is drawn directly (see the module docstring and :func:`_window_setup`).
+    Trials whose error exceeds half the ambiguity spacing are failures,
+    excluded from the RMSE.  Each block of :data:`rand.BLOCK_TRIALS` trials
+    draws its noise from a generator keyed by (scenario.seed, block start)
+    and reduces its delay errors to a failure count, sum and sum of squares,
+    which :func:`rand.run_trials` adds in block order, so the report is
+    bit-identical for any worker count.  This is the one-scenario call of
+    :func:`monte_carlo_column`, and its report equals that scenario's report
+    from any column it belongs to.
     """
     return monte_carlo_column([scenario], trials, workers)[0]
 
@@ -329,16 +324,16 @@ def monte_carlo_column(scenarios, trials: int, workers: int = 1) -> list[MonteCa
     def run_block(block: range) -> np.ndarray:
         rng = rand.trial_generator(first.seed, block.start)
         z = rng.standard_normal((len(block), 2 * len(unit_factor))).view(complex)
-        sums = np.empty((1, 3, len(scales)))
+        sums = np.empty((3, len(scales)))
         for j, scale in enumerate(scales):  # one (k, L) envelope at a time bounds the block's memory
             tau = _refine_peaks(np.abs(clean + z @ (scale * unit_factor)), lags, fs)
             err = tau - first.true_delay
             failed = np.abs(err) > fail_threshold
             ok = err[~failed]
-            sums[0, :, j] = np.count_nonzero(failed), np.sum(ok), np.sum(ok**2)
+            sums[:, j] = np.count_nonzero(failed), np.sum(ok), np.sum(ok**2)
         return sums
 
-    failures, err_sum, err2_sum = rand.run_trials(run_block, trials, workers).sum(axis=0)
+    failures, err_sum, err2_sum = rand.run_trials(run_block, trials, workers)
     zeta_f2 = first.zeta_f2()
     return [
         _report(trials, int(failures[j]), err_sum[j], err2_sum[j], crlb_toa(zeta_f2, sc.snr_db))

@@ -704,6 +704,33 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_missing_output_dir_exits_2_before_simulating(tmp_path, capsys, monkeypatch):
+    # a long run must not compute first and only then find --out unwritable
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking the output directory")
+
+    monkeypatch.setattr(rangekit.cli, "monte_carlo", no_simulation)
+    monkeypatch.setattr(rangekit.cli, "monte_carlo_column", no_simulation)
+    monkeypatch.setattr(rangekit.beamform, "coherent_gain", no_simulation)
+    monkeypatch.chdir(tmp_path)
+    scen = scenario_file(tmp_path, trials=300_000)
+    doc = json.loads(scen.read_text())
+    scen.write_text(json.dumps(dict(doc, output_dir="missing")))
+    missing = tmp_path / "missing"
+    for argv, out in (
+        (["range-sim", "--scenario", str(scen), "--out", "r.json"], "missing/r.json"),
+        (["coherence", "--scenario", str(scen), "--sigma-grid", "0:0.001:0.01",
+          "--out", "g.csv"], "missing/g.csv"),
+        (["sweep", "--delta-f", "5e8:1e8:5e8", "--snr", "0:10:20",
+          "--out", str(missing / "s.csv")], str(missing / "s.csv")),
+    ):
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rangekit: i/o error: [Errno 2] No such file or directory: '{out}'\n"
+    assert not missing.exists()
+
+
 def test_save_dimensions_round_trip_through_cli(tmp_path, capsys):
     # a record written by the library validates cleanly through the CLI
     path = tmp_path / "ref.json"
@@ -728,6 +755,20 @@ def test_bench_tracer_finds_its_targets(tmp_path, capsys):
     names = {span[2] for span in tracer.spans}
     assert {"ranging.monte_carlo", "ranging.crlb_result", "fileio.dump_json"} <= names
     assert tracer.layer_metrics()["ranging.monte_carlo.calls"] == 1
+    # the coherence engine runs every block inside its one run_trials call
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        assert dispatch(["coherence", "-q", "--nodes", "10", "--f-action", "1.88e9",
+                         "--sigma-range", "0.004", "--trials", "1100"]) == 0
+    finally:
+        tracer.uninstall()
+    (engine,) = [span for span in tracer.spans if span[2] == "rand.run_trials"]
+    chunks = [span for span in tracer.spans if span[2] == "beamform.chunk"]
+    assert len(chunks) == 3  # 1100 trials = 512 + 512 + 76
+    for _, parent, _, start, end, _ in chunks:
+        assert parent == engine[0]
+        assert engine[3] <= start <= end <= engine[4]
 
 
 def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):

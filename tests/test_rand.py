@@ -1,5 +1,8 @@
 """Block-keyed trial engine tests."""
 
+import functools
+import operator
+
 import numpy as np
 
 from rangekit import rand
@@ -11,11 +14,29 @@ def test_seeds_above_2_63_give_distinct_streams():
     assert not np.array_equal(a, b)
 
 
-def test_run_trials_calls_chunk_fn_once_per_block():
+def test_run_trials_folds_block_summaries_in_block_order():
+    # block k returns its length at index k and terms[k] last; float addition
+    # of terms is not associative, so only the left fold in block order gives
+    # `expected`, and per-worker partial sums or another order would not
     block = rand.BLOCK_TRIALS
-    trials = 2 * block + 76
-    for workers in (1, 2, 3, 8):
-        seen = rand.run_trials(lambda b: np.array([[b.start, b.stop]]), trials, workers)
-        expected = [[0, block], [block, 2 * block], [2 * block, trials]]
-        assert seen.tolist() == expected
-        assert all(c.start % block == 0 for c in rand.partition(trials, workers))
+    terms = [1e16, 3.0, 1e16, 1.0, -1e16, 1.0, 1e16, -1e16, 1.0, 1.0]
+    for trials in (1, 511, 512, 513, 9 * block + 76):
+        n_blocks = -(-trials // block)
+
+        def block_fn(b):
+            out = np.zeros(n_blocks + 1)
+            out[b.start // block] = len(b)
+            out[-1] = terms[b.start // block]
+            return out
+
+        lengths = [min(block, trials - k * block) for k in range(n_blocks)]
+        expected = functools.reduce(operator.add, terms[:n_blocks])
+        for workers in (1, 2, 3, 8, n_blocks + 1):  # the last is more workers than blocks
+            total = rand.run_trials(block_fn, trials, workers)
+            assert total[:-1].tolist() == lengths
+            assert total[-1] == expected
+            assert all(c.start % block == 0 for c in rand.partition(trials, workers))
+    # the ten-block case tells the block-order fold from these other groupings
+    assert expected == 1.0000000000000004e16
+    assert sum(terms[5:]) + sum(terms[:5]) != expected
+    assert functools.reduce(operator.add, terms[::-1]) != expected

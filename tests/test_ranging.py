@@ -260,13 +260,24 @@ def test_monte_carlo_deterministic_across_workers():
         assert reports[0] == reports[1] == reports[2] == reports[3]
 
 
-def test_monte_carlo_memory_does_not_grow_with_trials():
-    # each block is reduced to a failure count and two error sums as it
-    # finishes, so 8x the trials adds only those sums to the peak
+def monte_carlo_growth(workers):
+    """Peak bytes that 400k trials trace above 50k trials."""
     sc = RangingScenario(ToneSet.two_tone(5e8), 25.0, 0.6e-9, False, 4e9, 1e-6, seed=4)
-    monte_carlo(sc, 1000)  # warm up, including the cached set-up
-    peaks = [traced_peak(lambda: monte_carlo(sc, trials)) for trials in (50_000, 400_000)]
-    assert peaks[1] - peaks[0] <= 64 * 1024
+    monte_carlo(sc, 1000, workers)  # warm up, including the cached set-up
+    peaks = [traced_peak(lambda: monte_carlo(sc, trials, workers)) for trials in (50_000, 400_000)]
+    return peaks[1] - peaks[0]
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials():
+    # each block is reduced to a failure count and two error sums, added to
+    # the running total as it finishes, so 8x the trials adds only those sums
+    assert monte_carlo_growth(1) <= 64 * 1024
+
+
+def test_monte_carlo_memory_with_two_workers():
+    # two workers hold one small summary per block until the ordered sum:
+    # about 100 KB for 8x the trials, against 1.3 MB for one future per block
+    assert monte_carlo_growth(2) <= 256 * 1024
 
 
 @pytest.mark.parametrize("duration", [1e-6, 2.5e-7], ids=["1us", "250ns-qr"])
