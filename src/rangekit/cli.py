@@ -167,7 +167,8 @@ def _cmd_waveform(args) -> int:
     config = _load_config(args)
     section = config.waveform
     if section is not None and args.separation_hz is not None:  # replaces a whole tone list
-        section = replace(section, tone_frequencies_hz=None)
+        section = replace(section, tone_frequencies_hz=None, tone_amplitudes=None,
+                          tone_phases_rad=None)
     wf = _overlay(args, section, fileio.WaveformConfig, "waveform")
     if wf is None or (wf.separation_hz is None and wf.tone_frequencies_hz is None):
         raise ValueError(

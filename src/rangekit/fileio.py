@@ -9,7 +9,9 @@ Far-field CSV layout: header ``theta_deg,phi_deg,frequency_hz,magnitude_db,
 phase_deg``, one cut per (phi, frequency) group of rows that appear
 together, theta strictly increasing within a group, every value finite.
 z is the boresight axis and theta is measured from z toward x, matching
-the phase-center sign convention.
+the phase-center sign convention.  The rows are parsed into one (n, 5)
+block (by the csv module only when ``np.loadtxt`` refuses them), and one
+pass applies the group rules to it.  :func:`load_json` decodes every JSON input.
 
 Every section read through :func:`parse_section` (scenario JSON, the CLI
 flags laid over it, a dimension record's substrate) is checked against its
@@ -77,49 +79,32 @@ def save_farfield_cuts(cuts, path) -> None:
     _write_csv(path, FARFIELD_HEADER, rows)
 
 
-def _farfield_row_groups(reader) -> list:
-    """Read far-field rows one by one: ``(phi, frequency, rows)`` per group,
-    with ``rows`` an (m, 3) array of theta, magnitude and phase.  The first
-    row that breaks a rule raises ValueError naming it."""
-    groups = {}
-    last = None
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 5:
-            raise ValueError(f"far-field row must have 5 columns: {row!r}")
-        theta, phi, freq, mag, phase = (float(v) for v in row)
-        if (phi, freq) != last:  # a new group; FarFieldCut checks the other columns
-            if not (math.isfinite(phi) and math.isfinite(freq)):
-                raise ValueError(f"far-field phi and frequency must be finite: {row!r}")
-            if (phi, freq) in groups:
-                raise ValueError(f"far-field rows of one group must appear together: {row!r}")
-            last = (phi, freq)
-            group = groups[last] = []
-        group.append((theta, mag, phase))
-    return [(phi, freq, np.array(rows)) for (phi, freq), rows in groups.items()]
+def _data_rows(fh) -> list:
+    """The csv rows after the header of the far-field file ``fh``, blank rows skipped."""
+    fh.seek(0)
+    return [row for row in csv.reader(fh) if row][1:]
 
 
-def _farfield_block_groups(fh):
-    """Parse the far-field rows left in ``fh`` with one ``np.loadtxt`` call;
-    the groups as :func:`_farfield_row_groups` gives them, or None when
-    ``np.loadtxt`` cannot read the block or the block breaks a rule."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # loadtxt only warns about a block with no rows
-            data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
-    except (ValueError, UserWarning):
-        return None
-    if data.shape[1] != 5 or not np.all(np.isfinite(data[:, 1:3])):
-        return None
+def _farfield_cuts(data, row_at) -> list:
+    """One FarFieldCut per (phi, frequency) group of the parsed (n, 5) block.
+
+    Phi and frequency must be finite, and the rows of a group must appear
+    together; FarFieldCut checks the other columns.  The first row that
+    breaks a rule, ``row_at(i)`` for data row i, is named in the ValueError.
+    """
     key = data[:, 1:3]
+    bad = np.flatnonzero(~np.all(np.isfinite(key), axis=1))
+    if bad.size:
+        raise ValueError(f"far-field phi and frequency must be finite: {row_at(bad[0])!r}")
     starts = [0, *(1 + np.flatnonzero(np.any(key[1:] != key[:-1], axis=1))).tolist()]
     keys = [tuple(k) for k in key[starts].tolist()]
-    if len(set(keys)) != len(keys):
-        return None  # a group resumes after another one
-    columns = data[:, [0, 3, 4]]
+    seen = set()
+    for k, start in zip(keys, starts):
+        if k in seen:
+            raise ValueError(f"far-field rows of one group must appear together: {row_at(start)!r}")
+        seen.add(k)
     return [
-        (phi, freq, columns[a:b])
+        FarFieldCut(phi, freq, data[a:b, 0], data[a:b, 3], data[a:b, 4])
         for (phi, freq), a, b in zip(keys, starts, starts[1:] + [len(data)])
     ]
 
@@ -128,11 +113,12 @@ def load_farfield_cuts(path) -> list:
     """Read far-field CSV, one FarFieldCut per (phi, frequency) group.
 
     Rows belonging to one group must appear together and with strictly
-    increasing theta, and every value must be finite; anything else fails
-    validation.  The header is checked first and the rows are parsed by one
-    ``np.loadtxt`` call.  When that call fails or the rows break a rule, the
-    per-row reader reruns: it names the row at fault, or reads the values
-    that only ``float()`` takes, such as ``1_0``.
+    increasing theta, and every value must be finite.  After the header,
+    one ``np.loadtxt`` call parses the rows.  Only a block it refuses is
+    read with the csv module, which names the first row without 5 columns
+    and takes the spellings ``float()`` takes, such as ``1_0``.  One pass
+    then applies the group rules to the parsed block; otherwise the csv rows
+    are read only to name the row at fault.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -142,24 +128,22 @@ def load_farfield_cuts(path) -> list:
             raise ValueError("empty far-field file")
         if [h.strip() for h in header] != FARFIELD_HEADER.split(","):
             raise ValueError(f"unexpected far-field header: {','.join(header)!r}")
-        groups = _farfield_block_groups(fh)
-        if groups is None:
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            groups = _farfield_row_groups(reader)
-    if not groups:
-        raise ValueError("far-field file contains no data rows")
-    return [
-        FarFieldCut(
-            phi_cut_deg=phi,
-            frequency_hz=freq,
-            theta_deg=rows[:, 0],
-            magnitude_db=rows[:, 1],
-            phase_deg=rows[:, 2],
-        )
-        for phi, freq, rows in groups
-    ]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt only warns about a block with no rows
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        except (ValueError, UserWarning):
+            data = np.empty((0, 0))
+        rows = None
+        if data.shape[1] != 5:
+            rows = _data_rows(fh)
+            short = next((row for row in rows if len(row) != 5), None)
+            if short is not None:
+                raise ValueError(f"far-field row must have 5 columns: {short!r}")
+            if not rows:
+                raise ValueError("far-field file contains no data rows")
+            data = np.array(rows, dtype=float)
+        return _farfield_cuts(data, lambda i: (rows or _data_rows(fh))[i])
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +255,11 @@ class WaveformConfig:
                 "waveform section needs exactly one of separation_hz or tone_frequencies_hz"
             )
         if self.separation_hz is not None:
+            if self.tone_amplitudes is not None or self.tone_phases_rad is not None:
+                raise ValueError(
+                    "waveform tone_amplitudes and tone_phases_rad need tone_frequencies_hz, "
+                    "not separation_hz"
+                )
             return ToneSet.two_tone(self.separation_hz)
         freqs = self.tone_frequencies_hz
         amps = self.tone_amplitudes or (1.0,) * len(freqs)
@@ -357,13 +346,18 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     )
 
 
-def load_scenario(path) -> ScenarioConfig:
+def load_json(path, kind: str):
+    """The JSON document in ``path``; a file that does not decode, or nests
+    too deeply for the decoder, raises ValueError naming the ``kind`` of file."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"scenario file is not valid JSON: {exc}")
-    return parse_scenario(doc)
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise ValueError(f"{kind} file is not valid JSON: {exc}")
+
+
+def load_scenario(path) -> ScenarioConfig:
+    return parse_scenario(load_json(path, "scenario"))
 
 
 # ---------------------------------------------------------------------------

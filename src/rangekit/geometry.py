@@ -11,7 +11,6 @@ substrate.
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import asdict, dataclass, field, fields
 
@@ -69,8 +68,7 @@ def load_dimensions(path) -> PatchDimensions:
     Every value must be a finite number, checked as scenario JSON fields are.
     Non-positive lengths are rejected here so a loaded record is usable.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = fileio.load_json(path, "dimension")
     if not isinstance(raw, dict):
         raise ValueError("dimension file must contain a JSON object")
     lengths = dict(raw)

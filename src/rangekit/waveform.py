@@ -186,6 +186,12 @@ def synth_two_tone(tones: ToneSet, duration: float, sample_rate: float) -> Sampl
             f"a {duration:g} s record at {sample_rate:g} Hz holds {n} sample(s); "
             "at least 2 are needed"
         )
+    max_n = np.iinfo(np.intp).max // 16  # numpy indexes a complex128 array's bytes with intp
+    if n > max_n:
+        raise ValueError(
+            f"a {duration:g} s record at {sample_rate:g} Hz holds {n:.3g} samples; "
+            f"numpy can hold at most {max_n:.3g}"
+        )
     t = np.arange(n) / sample_rate
     x = np.zeros(n, dtype=complex)
     for tone in tones.tones:

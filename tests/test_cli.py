@@ -184,6 +184,7 @@ def test_out_of_range_seed_exits_1(tmp_path, capsys):
         ("ranging", "two_way", "no"),
         ("ranging", "snr_db", float("nan")),
         (None, "phase_center", {"window_deg": 10.0}),
+        ("waveform", "tone_phases_rad", [0.0, 1.0]),  # phases need a tone list, not a separation
     ],
 )
 def test_bad_scenario_field_exits_1(tmp_path, capsys, section, key, value):
@@ -642,6 +643,20 @@ def test_geometry_validate_rejects_non_finite_or_non_numeric(tmp_path, capsys, k
     path.write_text(json.dumps(doc))
     assert dispatch(["geometry", "validate", "--in", str(path)]) == 1
     assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, '{"seed": 1, "waveform": {'],
+                         ids=["deeply-nested", "truncated"])
+@pytest.mark.parametrize("argv, kind", [(["range-sim", "--scenario"], "scenario"),
+                                        (["geometry", "validate", "--in"], "dimension")],
+                         ids=["range-sim", "geometry-validate"])
+def test_invalid_json_exits_1_with_one_line(tmp_path, capsys, text, argv, kind):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert dispatch(argv + [str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"rangekit: error: {kind} file is not valid JSON: ")
 
 
 def test_geometry_validate_reports_violations(tmp_path, capsys):

@@ -113,6 +113,8 @@ def test_farfield_load_errors(tmp_path):
 
 
 GOOD_ROWS = "0,0,1e9,0,0\n1,0,1e9,0,0\n2,0,1e9,0,0\n"
+# float() reads 1_0 and np.loadtxt does not, so files with these rows take the csv path
+CSV_ROWS = "0,0,1e9,0,0\n1_0,0,1e9,0,0\n20,0,1e9,0,0\n"
 
 
 @pytest.mark.parametrize(
@@ -150,11 +152,21 @@ GOOD_ROWS = "0,0,1e9,0,0\n1,0,1e9,0,0\n2,0,1e9,0,0\n"
          "a far-field cut needs at least 3 samples"),
         (FARFIELD_HEADER + "\n" + GOOD_ROWS.replace("1e9", "-1e9"),
          "cut frequency must be positive"),
+        (FARFIELD_HEADER + "\n" + CSV_ROWS + "3_0,0,1e9,0\n",
+         "far-field row must have 5 columns: ['3_0', '0', '1e9', '0']"),
+        (FARFIELD_HEADER + "\n" + CSV_ROWS + "1,nan,1e9,0,0\n",
+         "far-field phi and frequency must be finite: ['1', 'nan', '1e9', '0', '0']"),
+        (FARFIELD_HEADER + "\n" + CSV_ROWS + "0,0,2e9,0,0\n1,0,2e9,0,0\n2,0,2e9,0,0\n3_0,0,1e9,0,0\n",
+         "far-field rows of one group must appear together: ['3_0', '0', '1e9', '0', '0']"),
+        # the column rule holds for the whole file before a group rule is applied
+        (FARFIELD_HEADER + "\n0,0,1e9,0,0\n1,nan,1e9,0,0\n2,0,1e9,0\n",
+         "far-field row must have 5 columns: ['2', '0', '1e9', '0']"),
     ],
     ids=["empty", "header", "blank-header", "no-rows", "blank-rows", "short-row",
          "long-row", "blank-cells-row", "comment-row", "not-a-number", "empty-cell", "nan-phi",
          "inf-frequency", "interleaved", "nan-magnitude", "theta-order", "too-few",
-         "negative-frequency"],
+         "negative-frequency", "csv-short-row", "csv-nan-phi", "csv-interleaved",
+         "columns-before-groups"],
 )
 def test_farfield_load_error_messages(tmp_path, text, message):
     path = tmp_path / "cut.csv"
@@ -335,6 +347,11 @@ def test_load_scenario_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValueError):
         load_scenario(path)
+    for text in ("[" * 100000, '{"seed": 1, "waveform": {', b"\xff{}"):
+        write = path.write_bytes if isinstance(text, bytes) else path.write_text
+        write(text)
+        with pytest.raises(ValueError, match="^scenario file is not valid JSON: "):
+            load_scenario(path)
     with pytest.raises(OSError):
         load_scenario(tmp_path / "absent.json")
 

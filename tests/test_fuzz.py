@@ -339,6 +339,8 @@ def scenario_docs(draw):
             if draw(st.booleans()):
                 wf[key] = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        if not doc:  # a drop took its only key; nothing is left to damage
+            break
         name = draw(st.sampled_from(sorted(doc)))
         target = doc[name] if isinstance(doc[name], dict) and draw(st.integers(0, 4)) else doc
         key = name if target is doc else draw(st.sampled_from(sorted(target) or ["unknown"]))

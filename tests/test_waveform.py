@@ -1,5 +1,7 @@
 """Waveform synthesis and spectral-moment tests."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -77,6 +79,12 @@ def test_synthesis_errors():
         synth_two_tone(ToneSet.two_tone(4e9), 1e-6, 4e9)  # Nyquist
     for duration, sample_rate in ((np.inf, 4e9), (np.nan, 4e9), (1e-6, np.inf), (1e300, 4e9)):
         with pytest.raises(ValueError, match="finite"):
+            synth_two_tone(ToneSet.two_tone(1e9), duration, sample_rate)
+    # 2**59 complex128 samples are 2**63 bytes, one past what numpy can index;
+    # both sizes are rejected before anything is allocated
+    for duration, sample_rate, n in ((1.0, 2.0**59, "5.76e+17"), (1e-6, 1e300, "1e+294")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a {duration:g} s record at {sample_rate:g} Hz holds {n} samples")):
             synth_two_tone(ToneSet.two_tone(1e9), duration, sample_rate)
 
 
