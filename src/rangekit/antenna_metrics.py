@@ -116,44 +116,23 @@ def _to_db(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 20.0 * np.log10(mag)
 
 
-def _check_lines(lines, header_only=False):
-    """Apply the per-line Touchstone rules to ``lines``, in file order.
-
-    Returns the parsed option line (None if there is none) and the index of
-    the first data row (``len(lines)`` if there is none).  With
-    ``header_only`` the scan stops at the first data row; otherwise every
-    data row is checked too.  The first line that breaks a rule raises
-    ValueError naming it.
-    """
-    option, first_row = None, len(lines)
-    for i, raw in enumerate(lines):
-        line = raw.split("!", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if option is not None:
-                raise ValueError("multiple option lines")
-            if first_row < i:
-                raise ValueError("option line must precede the data")
-            option = _parse_option_line(line[1:].split())
-            continue
-        first_row = min(first_row, i)
-        if header_only:
-            break
-        values = line.split()
-        if len(values) != 3:
-            if len(values) > 3:
-                raise ValueError(
-                    f"expected one-port rows of 3 columns, got {len(values)} "
-                    "(multi-port data is not supported)"
-                )
-            raise ValueError(f"malformed data row: {raw.strip()!r}")
+def _raise_at_fault(rows, has_option: bool) -> None:
+    """Raise the ValueError naming the first data row that breaks a line rule."""
+    for raw in rows:
+        values = raw.split("!", 1)[0].split()
+        if values and values[0].startswith("#"):
+            raise ValueError("multiple option lines" if has_option
+                             else "option line must precede the data")
+        if len(values) > 3:
+            raise ValueError(f"expected one-port rows of 3 columns, got {len(values)} "
+                             "(multi-port data is not supported)")
         try:
+            if 0 < len(values) < 3:
+                raise ValueError
             for v in values:
                 float(v)
         except ValueError:
-            raise ValueError(f"malformed data row: {raw.strip()!r}")
-    return option, first_row
+            raise ValueError(f"malformed data row: {raw.strip()!r}") from None
 
 
 def load_touchstone(path) -> SParamTrace:
@@ -164,14 +143,23 @@ def load_touchstone(path) -> SParamTrace:
     comments, and three-column data rows.  Phase/angle information is
     dropped; only the reflection magnitude is kept.
 
-    The leading comment and option lines are checked line by line and the
-    data block is parsed by one ``np.loadtxt`` call.  When that call fails,
-    the per-line check reruns over the whole file, only to name the line at
-    fault.
+    One pass reads the comment and option lines up to the first data row,
+    and one ``np.loadtxt`` call parses the rest.  Only a block that call
+    refuses is scanned, once, to name the line at fault: a ``#`` line, or a
+    row that is not 3 values ``float()`` takes.
     """
     with open(path) as fh:
         lines = fh.readlines()
-    option, first_row = _check_lines(lines, header_only=True)
+    option, first_row = None, len(lines)
+    for i, raw in enumerate(lines):
+        line = raw.split("!", 1)[0].strip()
+        if line.startswith("#"):
+            if option is not None:
+                raise ValueError("multiple option lines")
+            option = _parse_option_line(line[1:].split())
+        elif line:
+            first_row = i
+            break
     if first_row == len(lines):
         raise ValueError("no data rows in Touchstone file")
     try:
@@ -179,7 +167,7 @@ def load_touchstone(path) -> SParamTrace:
         if data.shape[1] != 3:
             raise ValueError(f"{data.shape[1]} columns")
     except ValueError as exc:
-        _check_lines(lines)
+        _raise_at_fault(lines[first_row:], option is not None)
         raise ValueError(f"malformed data block: {exc}") from None
     unit, parameter, fmt, resistance = option or _parse_option_line(())
     with np.errstate(over="ignore"):  # SParamTrace rejects a frequency that overflows

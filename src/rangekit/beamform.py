@@ -37,14 +37,10 @@ class CoherenceScenario:
             raise ValueError("an array needs at least 2 nodes")
         if not np.all(np.isfinite([self.f_action_hz, self.sigma_range_m])):
             raise ValueError("f_action_hz and sigma_range_m must be finite")
-        if self.f_action_hz <= 0:
-            raise ValueError("action frequency must be positive")
-        if self.sigma_range_m < 0:
-            raise ValueError("sigma_range must be non-negative")
+        if not np.isfinite(self.sigma_phi()):  # sigma_phi() checks both signs
+            raise ValueError("the phase error 2*pi*f_action_hz*sigma_range_m/c overflows")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not np.isfinite(self.sigma_phi()):
-            raise ValueError("the phase error 2*pi*f_action_hz*sigma_range_m/c overflows")
         rand.check_seed(self.seed)
 
     def sigma_phi(self) -> float:

@@ -154,7 +154,13 @@ def _finish(args, params=None, doc=None, write=None, status=None, output_dir="."
         inputs = [p for v in named if v is not None for p in (v if isinstance(v, list) else [v])]
         fileio.write_manifest(out, args.argv, params, inputs, extra_outputs=extra or ())
     if not args.quiet:
-        print(json.dumps(doc, indent=2, allow_nan=False) if status is None else status(out))
+        try:
+            print(json.dumps(doc, indent=2, allow_nan=False) if status is None else status(out))
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader closed stdout: a quiet end of output
+            devnull = os.open(os.devnull, os.O_WRONLY)  # the exit flush goes here, not to the pipe
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return 0
 
 

@@ -347,11 +347,20 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
 
 
 def load_json(path, kind: str):
-    """The JSON document in ``path``; a file that does not decode, or nests
-    too deeply for the decoder, raises ValueError naming the ``kind`` of file."""
+    """The JSON document in ``path``; a file that does not decode, nests too
+    deeply for the decoder or repeats a key within one object raises
+    ValueError naming the ``kind`` of file."""
+    def unique_keys(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ValueError(f"{kind} file repeats the key {key!r} in one object")
+            doc[key] = value
+        return doc
+
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValueError(f"{kind} file is not valid JSON: {exc}")
 

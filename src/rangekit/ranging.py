@@ -50,6 +50,7 @@ from .waveform import (
     ToneSet,
     delay_signal,  # noqa: F401 -- bench/tracer.py times ranging.delay_signal
     mean_squared_bandwidth,
+    record_length,
     synth_two_tone,
 )
 
@@ -67,15 +68,11 @@ class RangingScenario:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.sample_rate, self.duration, self.true_delay])):
-            raise ValueError("sample_rate, duration and true_delay must be finite")
+        record_length(self.tones, self.duration, self.sample_rate)
+        if not np.isfinite(self.true_delay):
+            raise ValueError("true_delay must be finite")
         if not (-300.0 <= self.snr_db <= 300.0 or self.snr_db == np.inf):  # +inf: no noise
             raise ValueError(f"snr_db must lie in [-300, 300] dB or be +inf, got {self.snr_db:g}")
-        f_max = float(np.max(np.abs(self.tones.frequencies)))
-        if self.sample_rate <= 2.0 * f_max:
-            raise ValueError("sample_rate violates Nyquist for the tone set")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
         rand.check_seed(self.seed)
         window = self.ambiguity_window()
         if window > self.duration:
@@ -305,8 +302,6 @@ def monte_carlo_column(scenarios, trials: int, workers: int = 1) -> list[MonteCa
     calls, and they share one noise draw: differences between them are not
     independent samples.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if len(scenarios) == 0:
         raise ValueError("no scenarios to simulate")
     first = scenarios[0]

@@ -161,16 +161,12 @@ class SpectrumModel:
         return float(np.sum(self.energy_density) * self.bin_width)
 
 
-def synth_two_tone(tones: ToneSet, duration: float, sample_rate: float) -> SampledSignal:
-    """Synthesize a tone set as a unit-energy complex baseband signal.
-
-    The signal is the sum of complex exponentials at the tone frequencies
-    with the given amplitudes and phases, scaled so that the continuous-time
-    energy over the pulse is exactly 1.  Tones are ideal CW over the whole
-    duration; durations holding an integer number of cycles of every tone
-    keep spectral leakage at numerical noise (recommended, not enforced).
-    """
-    if not np.all(np.isfinite([duration, sample_rate, duration * sample_rate])):
+def record_length(tones: ToneSet, duration: float, sample_rate: float) -> int:
+    """Samples in a ``duration`` s record of ``tones`` at ``sample_rate``; a
+    ValueError names the first rule it breaks: finite, positive duration,
+    Nyquist, and from 2 samples up to numpy's complex128 index range."""
+    product = float(duration) * float(sample_rate)  # two ints could multiply past int64
+    if not np.all(np.isfinite([duration, sample_rate, product])):
         raise ValueError("duration, sample_rate and their product must be finite")
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -180,7 +176,7 @@ def synth_two_tone(tones: ToneSet, duration: float, sample_rate: float) -> Sampl
             f"sample_rate {sample_rate:g} Hz violates Nyquist for max tone "
             f"frequency {f_max:g} Hz"
         )
-    n = int(round(duration * sample_rate))
+    n = int(round(product))
     if n < 2:
         raise ValueError(
             f"a {duration:g} s record at {sample_rate:g} Hz holds {n} sample(s); "
@@ -192,6 +188,19 @@ def synth_two_tone(tones: ToneSet, duration: float, sample_rate: float) -> Sampl
             f"a {duration:g} s record at {sample_rate:g} Hz holds {n:.3g} samples; "
             f"numpy can hold at most {max_n:.3g}"
         )
+    return n
+
+
+def synth_two_tone(tones: ToneSet, duration: float, sample_rate: float) -> SampledSignal:
+    """Synthesize a tone set as a unit-energy complex baseband signal.
+
+    The signal is the sum of complex exponentials at the tone frequencies
+    with the given amplitudes and phases, scaled so that the continuous-time
+    energy over the pulse is exactly 1.  Tones are ideal CW over the whole
+    duration; durations holding an integer number of cycles of every tone
+    keep spectral leakage at numerical noise (recommended, not enforced).
+    """
+    n = record_length(tones, duration, sample_rate)
     t = np.arange(n) / sample_rate
     x = np.zeros(n, dtype=complex)
     for tone in tones.tones:

@@ -17,6 +17,10 @@ from rangekit.antenna_metrics import (
 from rangekit.phase_center import FarFieldCut
 
 
+# 2000 valid rows: a fault after them lies far past the header
+LONG = "".join(f"{i} -3 0\n" for i in range(1, 2001))
+
+
 def write(tmp_path, text, name="t.s1p"):
     path = tmp_path / name
     path.write_text(text)
@@ -74,6 +78,13 @@ def test_load_errors(tmp_path):
         ("# GHZ S DB R 50\n1 -3 0\n2 1e 0\n", "malformed data row: '2 1e 0'"),
         # Python's float() takes digit separators, the data block parser does not
         ("# GHZ S DB R 50\n1 -3 0\n2 1_0 0\n", "malformed data block: could not convert"),
+        ("# GHZ S DB R 50\n" + LONG + "# HZ S DB R 50\n", "multiple option lines"),
+        (LONG + "# HZ S DB R 50\n", "option line must precede the data"),
+        ("# GHZ S DB R 50\n" + LONG + "2001 -3 0 x\n",
+         "expected one-port rows of 3 columns, got 4 (multi-port data is not supported)"),
+        ("# GHZ S DB R 50\n" + LONG + "2001 -3 x\n", "malformed data row: '2001 -3 x'"),
+        ("# GHZ S DB R 50\r\n1 -3 0\r\n2 -3", "malformed data row: '2 -3'"),
+        ("# GHZ S DB R 50\r\n1 -3 0\r\n2 -3 0\r\n3 -3 y", "malformed data row: '3 -3 y'"),
         ("# GHZ S DB R 50\n", "no data rows in Touchstone file"),
         ("! comments only\n\n", "no data rows in Touchstone file"),
         ("# GHZ S MA R 50\n1 0 0\n2 0.5 0\n",

@@ -134,9 +134,9 @@ def test_coherent_gain_memory_with_two_workers():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         CoherenceScenario(1, F_ACTION, 0.01, trials=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="action frequency must be positive"):
         CoherenceScenario(4, 0.0, 0.01, trials=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma_range must be non-negative"):
         CoherenceScenario(4, F_ACTION, -0.01, trials=10)
     with pytest.raises(ValueError):
         CoherenceScenario(4, F_ACTION, 0.01, trials=0)

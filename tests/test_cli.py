@@ -659,6 +659,59 @@ def test_invalid_json_exits_1_with_one_line(tmp_path, capsys, text, argv, kind):
     assert err.startswith(f"rangekit: error: {kind} file is not valid JSON: ")
 
 
+WAVEFORM = '"waveform": {"duration_s": 1e-6, "sample_rate_hz": 4e9, "separation_hz": 5e8'
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ('{"seed": 1, ' + WAVEFORM + '}, "seed": 2}', ["waveform", "--scenario"],
+     "scenario file repeats the key 'seed' in one object"),
+    ("{" + WAVEFORM + ', "separation_hz": 1e9}}', ["waveform", "--scenario"],
+     "scenario file repeats the key 'separation_hz' in one object"),
+    (None, ["geometry", "validate", "--in"], "dimension file repeats the key 'A' in one object"),
+], ids=["scenario-top-level", "scenario-section", "dimension"])
+def test_repeated_json_key_exits_1_with_one_line(tmp_path, capsys, text, argv, message):
+    path = tmp_path / "dup.json"
+    if text is None:  # the reference record with a second "A" in front
+        save_dimensions(reference_dimensions(), path)
+        text = '{"A": 1.0, ' + path.read_text().lstrip()[1:]
+    path.write_text(text)
+    assert dispatch(argv + [str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"rangekit: error: {message}\n"
+
+
+def run_with_closed_stdout(argv, cwd):
+    """Run the CLI in a subprocess whose stdout is a pipe without a reader,
+    so every write to it fails with EPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(rangekit.__file__).parents[1]))
+    try:
+        return subprocess.run([sys.executable, "-m", "rangekit.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60, env=env, cwd=cwd)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("argv", [
+    ["waveform", "--separation", "1e9", "--duration", "1e-6", "--sample-rate", "4e9",
+     "--out", "spec.csv"],
+    ["geometry", "reference", "--out", "dims.json"],
+], ids=["waveform", "geometry-reference"])
+def test_closed_stdout_ends_quietly(tmp_path, argv):
+    proc = run_with_closed_stdout(argv, tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    out = tmp_path / argv[-1]
+    assert out.exists() and manifest_path_for(out).exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_broken_pipe_writing_out_file_is_an_io_error(tmp_path):
+    proc = run_with_closed_stdout(["geometry", "reference", "--out", "/dev/stdout"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "rangekit: i/o error: [Errno 32] Broken pipe\n"
+
+
 def test_geometry_validate_reports_violations(tmp_path, capsys):
     bad = dict(reference_dimensions().lengths_mm)
     bad["B"] = 60.0
@@ -690,14 +743,16 @@ def test_sweep_cli(tmp_path, capsys):
     assert (tmp_path / "surface.manifest.json").exists()
 
 
-def test_sweep_validates_every_cell_before_simulating(tmp_path, capsys, monkeypatch):
-    # the 4 GHz separation breaks Nyquist at 4 GS/s; no column may run first
+@pytest.mark.parametrize("sample_rate", ["4e9", "1e300"], ids=["nyquist", "record-too-long"])
+def test_sweep_validates_every_cell_before_simulating(tmp_path, capsys, monkeypatch, sample_rate):
+    # at 4 GS/s the 4 GHz separation breaks Nyquist; at 1e300 S/s every cell's
+    # record is too long to allocate; no column may run first
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before validating the grid")
 
     monkeypatch.setattr(rangekit.cli, "monte_carlo_column", no_simulation)
     out = tmp_path / "sweep.csv"
-    argv = ["sweep", "--delta-f", "1e9:1e9:4e9", "--snr", "0:10:20", "--sample-rate", "4e9",
+    argv = ["sweep", "--delta-f", "1e9:1e9:4e9", "--snr", "0:10:20", "--sample-rate", sample_rate,
             "--trials", "10", "--out", str(out)]
     assert dispatch(argv) == 1
     assert_one_error_line(capsys)

@@ -1,7 +1,9 @@
 """Property tests of the input parsers: every generated input either parses to
 what a plain reference reader gives, or is rejected with ValueError (exit 1
-and one error line through the CLI).  Touchstone files and scenario JSON go
-through the CLI only: exit 0 with finite outputs, or exit 1 with one error line."""
+and one error line through the CLI).  Touchstone files are also read by a
+two-pass reference reader, which must give the same trace or the same error
+text.  Scenario JSON goes through the CLI only: exit 0 with finite outputs,
+or exit 1 with one error line."""
 
 import csv
 import io
@@ -17,6 +19,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from rangekit.antenna_metrics import (
+    _FREQ_UNITS,
+    SParamTrace,
+    _parse_option_line,
+    _to_db,
+    load_touchstone,
+)
 from rangekit.cli import MAX_GRID_POINTS, dispatch, parse_grid, parse_region
 from rangekit.fileio import FARFIELD_HEADER, load_farfield_cuts, save_farfield_cuts
 from rangekit.phase_center import FarFieldCut, point_source_cut
@@ -280,6 +289,83 @@ def touchstone_texts(draw):
             lines[i] = ("\t" if action == "tab" else " ").join(cells)
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def reference_touchstone(path):
+    """A Touchstone trace read in two passes: the per-line rules over the
+    header, one np.loadtxt over the data, and the per-line rules over every
+    line again only when loadtxt refuses the data."""
+    def check_lines(lines, header_only=False):
+        option, first_row = None, len(lines)
+        for i, raw in enumerate(lines):
+            line = raw.split("!", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if option is not None:
+                    raise ValueError("multiple option lines")
+                if first_row < i:
+                    raise ValueError("option line must precede the data")
+                option = _parse_option_line(line[1:].split())
+                continue
+            first_row = min(first_row, i)
+            if header_only:
+                break
+            values = line.split()
+            if len(values) != 3:
+                if len(values) > 3:
+                    raise ValueError(
+                        f"expected one-port rows of 3 columns, got {len(values)} "
+                        "(multi-port data is not supported)"
+                    )
+                raise ValueError(f"malformed data row: {raw.strip()!r}")
+            try:
+                for v in values:
+                    float(v)
+            except ValueError:
+                raise ValueError(f"malformed data row: {raw.strip()!r}")
+        return option, first_row
+
+    with open(path) as fh:
+        lines = fh.readlines()
+    option, first_row = check_lines(lines, header_only=True)
+    if first_row == len(lines):
+        raise ValueError("no data rows in Touchstone file")
+    try:
+        data = np.loadtxt(lines[first_row:], comments="!", ndmin=2)
+        if data.shape[1] != 3:
+            raise ValueError(f"{data.shape[1]} columns")
+    except ValueError as exc:
+        check_lines(lines)
+        raise ValueError(f"malformed data block: {exc}") from None
+    unit, parameter, fmt, resistance = option or _parse_option_line(())
+    with np.errstate(over="ignore"):
+        freq = data[:, 0] * _FREQ_UNITS[unit]
+    return SParamTrace(freq, _to_db(fmt, data[:, 1], data[:, 2]),
+                       f"{unit} {parameter} {fmt} R {resistance:g}")
+
+
+def read_or_error(read, path):
+    """``read(path)``, or the text of the ValueError it raises."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=touchstone_texts())
+def test_touchstone_reader_matches_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz_reference.s1p"
+    path.write_bytes(text.encode())
+    got, want = read_or_error(load_touchstone, path), read_or_error(reference_touchstone, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got.source_format == want.source_format
+        assert got.frequency_hz.tobytes() == want.frequency_hz.tobytes()
+        assert got.s11_db.tobytes() == want.s11_db.tobytes()
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,7 @@
 """Time-of-arrival bound and Monte Carlo estimator tests."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -162,6 +164,17 @@ def test_scenario_validation():
     assert RangingScenario(ToneSet.two_tone(1e6), 16.0, 0.0, True, 4e9, 1e-6)  # window = record
     single = ToneSet.from_pairs([(0.0, 1.0)])  # a single tone's window is the record itself
     assert RangingScenario(single, 16.0, 1e-7, True, 4e9, 2.5e-7).ambiguity_window() == 2.5e-7
+    # the record rules are synth_two_tone's, with its messages, at construction
+    gigahertz = ToneSet.two_tone(1e9)
+    for sample_rate, duration, message in (
+        (1.4e9, 1e-9, "holds 1 sample(s); at least 2 are needed"),
+        (4e9, 2**59 / 4e9, "numpy can hold at most"),
+        (1e300, 1e300, "their product must be finite"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)) as synth_error:
+            synth_two_tone(gigahertz, duration, sample_rate)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(synth_error.value))}$"):
+            RangingScenario(gigahertz, 16.0, 0.0, True, sample_rate, duration)
 
 
 def refine_peaks_reference(env, lags, sample_rate):

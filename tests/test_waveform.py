@@ -81,8 +81,10 @@ def test_synthesis_errors():
         with pytest.raises(ValueError, match="finite"):
             synth_two_tone(ToneSet.two_tone(1e9), duration, sample_rate)
     # 2**59 complex128 samples are 2**63 bytes, one past what numpy can index;
-    # both sizes are rejected before anything is allocated
-    for duration, sample_rate, n in ((1.0, 2.0**59, "5.76e+17"), (1e-6, 1e300, "1e+294")):
+    # every size is rejected before anything is allocated, and integer fields
+    # multiply as floats, not past int64 into a TypeError
+    for duration, sample_rate, n in ((1.0, 2.0**59, "5.76e+17"), (1e-6, 1e300, "1e+294"),
+                                     (4, 2**62, "1.84e+19")):
         with pytest.raises(ValueError, match=re.escape(
                 f"a {duration:g} s record at {sample_rate:g} Hz holds {n} samples")):
             synth_two_tone(ToneSet.two_tone(1e9), duration, sample_rate)
