@@ -41,4 +41,4 @@ rep = coherent_gain(
 print(f"at lambda/10 ({sigma_tenth * 1e3:.1f} mm, {phase:.3f} rad): "
       f"mean gain fraction {rep.mean_gain_fraction:.3f}")
 print(f"retrodirective (two-way) links double the phase mapping: "
-      f"{range_to_phase_error(sigma_tenth, F_ACTION, two_way=True):.3f} rad")
+      f"{2 * phase:.3f} rad")

@@ -249,19 +249,21 @@ def gain_beam_stats(
 
     The mean is a plain arithmetic mean of the dB samples unless
     ``linear_mean`` is set, in which case powers are averaged and the result
-    converted back to dB.
+    converted back to dB.  Powers are taken relative to the region's peak,
+    so no dB value, however large or small, overflows or underflows them.
     """
     mask = cut.region_mask(region)
     if not np.any(mask):
         raise ValueError("no pattern samples inside the region")
     g = cut.magnitude_db[mask]
+    peak = np.max(g)
     if linear_mean:
-        mean = 10.0 * np.log10(np.mean(10.0 ** (g / 10.0)))
+        mean = peak + 10.0 * np.log10(np.mean(10.0 ** (g / 10.0 - peak / 10.0)))
     else:
         mean = np.mean(g)
     return GainStats(
         frequency_hz=cut.frequency_hz,
-        max_gain_db=float(np.max(g)),
+        max_gain_db=float(peak),
         mean_gain_db=float(mean),
         region_deg=(float(region[0]), float(region[1])),
         mean_domain="linear" if linear_mean else "db",

@@ -62,19 +62,18 @@ class CoherentGainReport:
                 raise ValueError(f"{name} out of [0, 1]: {v}")
 
 
-def range_to_phase_error(sigma_range_m: float, f_action_hz: float, two_way: bool = False) -> float:
+def range_to_phase_error(sigma_range_m: float, f_action_hz: float) -> float:
     """Phase std (radians) induced by a ranging std at the action frequency.
 
-    One-way mapping ``2*pi*f*sigma/c`` by default (transmit beamforming:
-    each node's position error perturbs its path once); ``two_way=True``
-    doubles it for retrodirective operation.
+    One-way mapping ``2*pi*f*sigma/c`` (transmit beamforming: each node's
+    position error perturbs its path once); a retrodirective link doubles
+    ``sigma_range_m`` first, as ``coherence --two-way`` does.
     """
     if sigma_range_m < 0:
         raise ValueError("sigma_range must be non-negative")
     if f_action_hz <= 0:
         raise ValueError("action frequency must be positive")
-    sigma_phi = 2.0 * np.pi * f_action_hz * sigma_range_m / SPEED_OF_LIGHT
-    return float(2.0 * sigma_phi if two_way else sigma_phi)
+    return float(2.0 * np.pi * f_action_hz * sigma_range_m / SPEED_OF_LIGHT)
 
 
 def analytic_gain_fraction(n_nodes: int, sigma_phi: float) -> float:

@@ -36,7 +36,6 @@ from .ranging import (
     monte_carlo_column,
 )
 from .waveform import (
-    SpectrumModel,
     ToneSet,
     mean_squared_bandwidth,
     rect_rms_bandwidth,
@@ -184,7 +183,7 @@ def _cmd_waveform(args) -> int:
     tones = wf.tone_set()
     signal = synth_two_tone(tones, wf.duration_s, wf.sample_rate_hz)
     spectrum = spectrum_of(signal)
-    zeta_analytic = mean_squared_bandwidth(SpectrumModel.from_tones(tones))
+    zeta_analytic = mean_squared_bandwidth(tones)
     zeta_discrete = mean_squared_bandwidth(spectrum)
     sep = tones.separation
     doc = {

@@ -152,8 +152,6 @@ def load_farfield_cuts(path) -> list:
 
 
 def write_spectrum_csv(spec: SpectrumModel, path) -> None:
-    if spec.kind != "discrete":
-        raise ValueError("spectrum CSV needs a discrete spectrum (run spectrum_of first)")
     _write_csv(path, SPECTRUM_HEADER, zip(spec.frequencies, spec.energy_density))
 
 
@@ -228,16 +226,16 @@ def _as_number(value):
     return value if -(2**63) <= value < 2**63 else float(value)
 
 
-def check_field(value, kind: str, where: str):
-    """``value`` if it is a valid JSON field of dataclass type ``kind``, with
-    lists as tuples and numbers as :func:`_as_number` gives them."""
-    what, ok = _FIELD_CHECKS[kind]
+def check_field(value, type_name: str, where: str):
+    """``value`` if it is a valid JSON field of dataclass type ``type_name``,
+    with lists as tuples and numbers as :func:`_as_number` gives them."""
+    what, ok = _FIELD_CHECKS[type_name]
     if not ok(value):
         import reprlib  # the error path only: shortens a long rejected value
         raise ValueError(f"{where} must be {what}, got {reprlib.repr(value)}")
-    if kind == "tuple":
+    if type_name == "tuple":
         return tuple(map(_as_number, value))
-    return _as_number(value) if kind == "float" else value
+    return _as_number(value) if type_name == "float" else value
 
 
 @dataclass(frozen=True)

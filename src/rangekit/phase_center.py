@@ -199,6 +199,8 @@ def _fit_windows(cut: FarFieldCut, lo, hi):
 
     theta = np.deg2rad(cut.theta_deg)
     k = 2.0 * np.pi * cut.frequency_hz / SPEED_OF_LIGHT
+    if not np.isfinite(k):
+        raise ValueError(f"frequency {cut.frequency_hz:g} Hz is too large to form a wavenumber")
     basis = np.column_stack([np.ones(n), k * np.sin(theta), k * np.cos(theta)])
     wrapped = np.deg2rad(cut.phase_deg)
     unwrapped = np.unwrap(wrapped)

@@ -46,7 +46,6 @@ import numpy as np
 from . import SPEED_OF_LIGHT, rand
 from .waveform import (
     SampledSignal,
-    SpectrumModel,
     ToneSet,
     delay_signal,  # noqa: F401 -- bench/tracer.py times ranging.delay_signal
     mean_squared_bandwidth,
@@ -96,7 +95,7 @@ class RangingScenario:
         return synth_two_tone(self.tones, self.duration, self.sample_rate)
 
     def zeta_f2(self) -> float:
-        return mean_squared_bandwidth(SpectrumModel.from_tones(self.tones))
+        return mean_squared_bandwidth(self.tones)
 
 
 @dataclass(frozen=True)

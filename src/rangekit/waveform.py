@@ -11,11 +11,16 @@ Energy conventions: a :class:`SampledSignal` approximates a continuous-time
 signal, so its energy is ``sum(|x|**2)/sample_rate``.  Spectra are always
 normalized to unit energy (``integral |G(f)|**2 df = 1``) before any moment
 is taken, so signal amplitude never leaks into the bandwidth numbers.
+
+Spectra are typed: a :class:`ToneSet` is the analytic spectrum and a
+:class:`SpectrumModel` the discrete one (a uniform grid and its density), and
+:func:`mean_squared_bandwidth` takes either.  ``SpectrumModel`` no longer has
+a ``kind`` tag or a ``from_tones`` constructor; pass the ``ToneSet`` itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,48 +121,29 @@ class SampledSignal:
 
 @dataclass(frozen=True)
 class SpectrumModel:
-    """Energy-normalized signal spectrum, analytic or discrete.
+    """Discrete, energy-normalized signal spectrum: a uniform frequency grid
+    and an energy density (1/Hz) that integrates to one over it.  The
+    analytic spectrum of a tone set is the :class:`ToneSet` itself."""
 
-    ``kind == "analytic-tones"`` carries the exact tone list; moments use the
-    closed-form weighted sum.  ``kind == "discrete"`` carries a uniform
-    frequency grid and an energy density (1/Hz) integrating to one.
-    """
-
-    kind: str
-    tones: ToneSet | None = None
-    frequencies: np.ndarray | None = field(default=None)
-    energy_density: np.ndarray | None = field(default=None)
+    frequencies: np.ndarray
+    energy_density: np.ndarray
 
     def __post_init__(self):
-        if self.kind == "analytic-tones":
-            if self.tones is None:
-                raise ValueError("analytic spectrum requires a ToneSet")
-        elif self.kind == "discrete":
-            f = np.asarray(self.frequencies, dtype=float)
-            d = np.asarray(self.energy_density, dtype=float)
-            if f.ndim != 1 or f.shape != d.shape or len(f) < 2:
-                raise ValueError("discrete spectrum needs matching 1-D frequency/density arrays")
-            df = np.diff(f)
-            if not np.allclose(df, df[0], rtol=1e-9, atol=0.0):
-                raise ValueError("discrete spectrum bins must lie on a uniform grid")
-            object.__setattr__(self, "frequencies", f)
-            object.__setattr__(self, "energy_density", d)
-        else:
-            raise ValueError(f"unknown spectrum kind: {self.kind!r}")
-
-    @classmethod
-    def from_tones(cls, tones: ToneSet) -> "SpectrumModel":
-        return cls(kind="analytic-tones", tones=tones)
+        f = np.asarray(self.frequencies, dtype=float)
+        d = np.asarray(self.energy_density, dtype=float)
+        if f.ndim != 1 or f.shape != d.shape or len(f) < 2:
+            raise ValueError("discrete spectrum needs matching 1-D frequency/density arrays")
+        df = np.diff(f)
+        if not np.allclose(df, df[0], rtol=1e-9, atol=0.0):
+            raise ValueError("discrete spectrum bins must lie on a uniform grid")
+        object.__setattr__(self, "frequencies", f)
+        object.__setattr__(self, "energy_density", d)
 
     @property
     def bin_width(self) -> float:
-        if self.kind != "discrete":
-            raise ValueError("bin_width is defined only for discrete spectra")
         return float(self.frequencies[1] - self.frequencies[0])
 
     def total_energy(self) -> float:
-        if self.kind == "analytic-tones":
-            return 1.0  # tone weights are normalized by construction
         return float(np.sum(self.energy_density) * self.bin_width)
 
 
@@ -238,20 +224,20 @@ def spectrum_of(signal: SampledSignal) -> SpectrumModel:
     spec = np.fft.fftshift(np.fft.fft(signal.samples))
     freqs = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / signal.sample_rate))
     density = np.abs(spec) ** 2 / (signal.sample_rate**2 * energy)
-    return SpectrumModel(kind="discrete", frequencies=freqs, energy_density=density)
+    return SpectrumModel(frequencies=freqs, energy_density=density)
 
 
-def mean_squared_bandwidth(spec: SpectrumModel) -> float:
+def mean_squared_bandwidth(spec: ToneSet | SpectrumModel) -> float:
     """Second spectral moment about band center, in rad^2/s^2.
 
     Computes ``integral (2*pi*f)^2 |G(f)|^2 df`` for a unit-energy spectrum.
-    Analytic tone sets use the exact sum over normalized tone energies;
-    discrete spectra use the grid sum.  Raises if the spectrum is not
-    energy-normalized.
+    A :class:`ToneSet` gives the exact sum over its normalized tone energies;
+    a discrete :class:`SpectrumModel` gives the grid sum, and raises if it is
+    not energy-normalized.
     """
-    if spec.kind == "analytic-tones":
-        w = spec.tones.energy_weights()
-        f = spec.tones.frequencies
+    if isinstance(spec, ToneSet):
+        w = spec.energy_weights()
+        f = spec.frequencies
         return float(np.sum(w * (2.0 * np.pi * f) ** 2))
     total = spec.total_energy()
     if abs(total - 1.0) > 1e-6:

@@ -62,7 +62,6 @@ def test_criterion_1_spectral_moment_closed_forms():
     df = width / n_bins
     centers = -width / 2 + df * (np.arange(n_bins) + 0.5)
     flat = SpectrumModel(
-        kind="discrete",
         frequencies=centers,
         energy_density=np.full(n_bins, 1.0 / width),
     )

@@ -230,3 +230,11 @@ def test_gain_stats_linear_mean_and_region():
     assert lin.mean_domain == "linear"
     with pytest.raises(ValueError):
         gain_beam_stats(cut, region=(200.0, 210.0))
+
+
+@pytest.mark.parametrize("level", [3100.0, -4000.0])
+def test_gain_stats_linear_mean_far_from_0_db(level):
+    # 10**(g/10) overflows at 3100 dB and underflows to log10(0) at -4000 dB;
+    # pyproject.toml makes the RuntimeWarning either would raise an error
+    cut = gain_cut(np.array([-30.0, 0.0, 30.0]), [level] * 3)
+    assert gain_beam_stats(cut, linear_mean=True).mean_gain_db == level

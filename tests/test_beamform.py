@@ -27,11 +27,6 @@ def test_phase_error_tenth_wavelength():
     assert range_to_phase_error(0.0, F_ACTION) == 0.0
 
 
-def test_phase_error_two_way_doubles():
-    one = range_to_phase_error(0.01, F_ACTION)
-    assert range_to_phase_error(0.01, F_ACTION, two_way=True) == pytest.approx(2 * one, rel=1e-15)
-
-
 def test_phase_error_validation():
     with pytest.raises(ValueError):
         range_to_phase_error(-1e-3, F_ACTION)

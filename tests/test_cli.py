@@ -18,7 +18,7 @@ from rangekit.antenna_metrics import write_touchstone
 from rangekit.cli import build_parser, dispatch, parse_grid, parse_region
 from rangekit.fileio import manifest_path_for, save_farfield_cuts
 from rangekit.geometry import load_dimensions, reference_dimensions, save_dimensions, validate
-from rangekit.phase_center import point_source_cut
+from rangekit.phase_center import FarFieldCut, point_source_cut
 
 THETA = np.arange(-60.0, 61.0)
 
@@ -431,6 +431,31 @@ def test_gain_stats_cli(tmp_path, capsys):
     assert dispatch(["gain-stats", "--cut", str(path), "--region", "0:inf", "--out", str(bad)]) == 1
     assert_one_error_line(capsys)
     assert not bad.exists()
+
+
+@pytest.mark.parametrize("level", [3100.0, -4000.0])
+def test_gain_stats_linear_mean_far_from_0_db(tmp_path, capsys, level):
+    path = tmp_path / "cut.csv"
+    save_farfield_cuts(point_source_cut(0.0, 0.0, 1.88e9, THETA, magnitude_db=level), path)
+    assert dispatch(["gain-stats", "--cut", str(path), "--linear-mean"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["stats"][0]["mean_gain_db"] == level
+
+
+def test_phase_center_rejects_frequency_without_finite_wavenumber(tmp_path, capsys):
+    # 2*pi*f overflows past about 2.9e307 Hz; gain-stats, which forms no
+    # wavenumber, still reads such a cut
+    paths = []
+    for name, freq in (("a.csv", 1e308), ("b.csv", 1.88e9)):
+        zeros = np.zeros(len(THETA))
+        save_farfield_cuts(FarFieldCut(0.0, freq, THETA, zeros, zeros), tmp_path / name)
+        paths += ["--cut", str(tmp_path / name)]
+    assert dispatch(["phase-center", *paths]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["rangekit: error: frequency 1e+308 Hz is too large to form a wavenumber"]
+    assert dispatch(["gain-stats", "--cut", paths[1]]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"][0]["frequency_hz"] == 1e308
 
 
 def test_coherence_flags(tmp_path, capsys):

@@ -34,7 +34,7 @@ from rangekit.fileio import (
 )
 from rangekit.phase_center import DisplacementSeries, FarFieldCut
 from rangekit.ranging import MonteCarloReport
-from rangekit.waveform import SpectrumModel, ToneSet
+from rangekit.waveform import SpectrumModel
 
 
 def test_fmt_float_round_trips():
@@ -202,7 +202,7 @@ def test_farfield_load_quoted_blank_and_crlf(tmp_path):
         ),
         (
             write_spectrum_csv,
-            SpectrumModel("discrete", frequencies=[-5e8, 0.0], energy_density=[1e-9, 0.0]),
+            SpectrumModel(frequencies=[-5e8, 0.0], energy_density=[1e-9, 0.0]),
             SPECTRUM_HEADER,
             "-500000000.0,1e-09",
         ),
@@ -240,12 +240,6 @@ def test_csv_writer_bytes(tmp_path, writer, data, header, row):
     if isinstance(data, list):  # every list-taking writer refuses an empty list
         with pytest.raises(ValueError):
             writer([], tmp_path / "empty.csv")
-
-
-def test_analytic_spectrum_has_no_csv(tmp_path):
-    spec = SpectrumModel.from_tones(ToneSet.two_tone(5e8))
-    with pytest.raises(ValueError):
-        write_spectrum_csv(spec, tmp_path / "analytic.csv")
 
 
 SCENARIO_DOC = {
