@@ -260,7 +260,10 @@ def gain_beam_stats(
     if linear_mean:
         mean = peak + 10.0 * np.log10(np.mean(10.0 ** (g / 10.0 - peak / 10.0)))
     else:
-        mean = np.mean(g)
+        with np.errstate(over="ignore"):
+            mean = np.mean(g)
+        if not np.isfinite(mean):  # the sum overflowed; the scaled terms cannot
+            mean = np.sum(g / len(g))
     return GainStats(
         frequency_hz=cut.frequency_hz,
         max_gain_db=float(peak),

@@ -162,8 +162,7 @@ def write_displacement_csv(series: DisplacementSeries, path) -> None:
 
 
 def write_bands_csv(bands, path) -> None:
-    if len(bands) == 0:
-        raise ValueError("empty band list")
+    """Write one row per band; a sweep with no band gives the header alone."""
     _write_csv(
         path,
         BANDS_HEADER,

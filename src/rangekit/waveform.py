@@ -87,12 +87,6 @@ class ToneSet:
         a2 = self.amplitudes**2
         return a2 / a2.sum()
 
-    def scaled(self, k: float) -> "ToneSet":
-        """Same tone set with every frequency multiplied by k (> 0)."""
-        if k <= 0:
-            raise ValueError("frequency scale factor must be positive")
-        return ToneSet(tuple(Tone(t.frequency * k, t.amplitude, t.phase) for t in self.tones))
-
 
 @dataclass(frozen=True)
 class SampledSignal:

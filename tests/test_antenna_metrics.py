@@ -238,3 +238,11 @@ def test_gain_stats_linear_mean_far_from_0_db(level):
     # pyproject.toml makes the RuntimeWarning either would raise an error
     cut = gain_cut(np.array([-30.0, 0.0, 30.0]), [level] * 3)
     assert gain_beam_stats(cut, linear_mean=True).mean_gain_db == level
+
+
+@pytest.mark.parametrize("level", [1e308, -1e308])
+def test_gain_stats_db_mean_near_largest_float(level):
+    # the dB samples sum past the largest float; pyproject.toml makes the
+    # RuntimeWarning an overflow would print an error
+    cut = gain_cut(np.array([-30.0, 0.0, 30.0]), [level] * 3)
+    assert gain_beam_stats(cut).mean_gain_db == pytest.approx(level, rel=1e-12)

@@ -16,7 +16,7 @@ from helpers import three_dip_trace
 import rangekit
 from rangekit.antenna_metrics import write_touchstone
 from rangekit.cli import build_parser, dispatch, parse_grid, parse_region
-from rangekit.fileio import manifest_path_for, save_farfield_cuts
+from rangekit.fileio import BANDS_HEADER, manifest_path_for, save_farfield_cuts
 from rangekit.geometry import load_dimensions, reference_dimensions, save_dimensions, validate
 from rangekit.phase_center import FarFieldCut, point_source_cut
 
@@ -389,6 +389,21 @@ def test_s11_bands_csv_and_json(tmp_path, capsys):
     assert [b["f_resonance_hz"] for b in back["bands"]] == [1.88e9, 9.56e9, 10.49e9]
 
 
+def test_s11_bands_csv_without_bands(tmp_path, capsys):
+    # a valid sweep that never dips below -10 dB: the CSV is the header alone
+    ts = tmp_path / "flat.s1p"
+    ts.write_text("# GHZ S DB R 50\n1 -3 0\n2 -4 0\n3 -3 0\n")
+    out_csv = tmp_path / "nob.csv"
+    assert dispatch(["s11-bands", "--in", str(ts), "--out", str(out_csv)]) == 0
+    csv_run = capsys.readouterr()
+    assert csv_run.err == ""
+    assert out_csv.read_text() == BANDS_HEADER + "\n"
+    assert manifest_path_for(out_csv).exists()
+    assert dispatch(["s11-bands", "--in", str(ts), "--out", str(tmp_path / "nob.json")]) == 0
+    assert capsys.readouterr().out == csv_run.out
+    assert json.loads(csv_run.out)["bands"] == []
+
+
 def test_s11_bands_threshold_flag(tmp_path, capsys):
     ts = tmp_path / "sweep.s1p"
     write_touchstone(three_dip_trace(step_hz=2e6), ts)
@@ -441,6 +456,17 @@ def test_gain_stats_linear_mean_far_from_0_db(tmp_path, capsys, level):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["stats"][0]["mean_gain_db"] == level
+
+
+def test_gain_stats_db_mean_near_largest_float(tmp_path, capsys):
+    # the dB samples sum past the largest float; pyproject.toml makes the
+    # RuntimeWarning an overflow would print an error
+    path = tmp_path / "cut.csv"
+    save_farfield_cuts(point_source_cut(0.0, 0.0, 1.88e9, THETA[:3], magnitude_db=1e308), path)
+    assert dispatch(["gain-stats", "--cut", str(path), "--region", "-60:-58"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["stats"][0]["mean_gain_db"] == pytest.approx(1e308, rel=1e-12)
 
 
 def test_phase_center_rejects_frequency_without_finite_wavenumber(tmp_path, capsys):
@@ -1005,13 +1031,18 @@ def test_rejected_value_is_quoted_short(tmp_path, capsys, section, key, value):
     assert line.startswith(f"rangekit: error: {field} must be ") and len(line) < 120
 
 
-def test_cli_import_leaves_optional_modules_unloaded():
+@pytest.mark.parametrize("module, unwanted", [
     # manifests (hashlib), worker threads (concurrent.futures) and the noise
     # draw (numpy.random) load when a run needs them, not with the CLI
+    ("rangekit.cli", lambda loaded: {"hashlib", "concurrent.futures", "numpy.random"} & loaded),
+    # the package re-exports nothing, so a submodule loads no sibling it does not import
+    ("rangekit.phase_center",
+     lambda loaded: {m for m in loaded if m.startswith("rangekit.")} - {"rangekit.phase_center"}),
+], ids=["rangekit.cli", "rangekit.phase_center"])
+def test_cli_import_leaves_optional_modules_unloaded(module, unwanted):
     env = dict(os.environ, PYTHONPATH=str(Path(rangekit.__file__).parents[1]))
-    code = ("import sys, rangekit.cli; "
-            "print(sorted({'hashlib', 'concurrent.futures', 'numpy.random'} & set(sys.modules)))")
+    code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert sorted(unwanted(set(json.loads(proc.stdout)))) == []
