@@ -10,14 +10,21 @@ N-node array, normalized by the ideal N^2:
     phi_i ~ N(0, sigma_phi^2), independent across nodes.
 
 The expectation has the closed form [1 + (N-1)*exp(-sigma_phi^2)] / N,
-which the Monte Carlo estimate is reported against.  Phase errors are
-modeled as independent and identically distributed; correlated error
-budgets are out of scope.
+which the Monte Carlo estimate is reported against, with its standard
+error.  Phase errors are modeled as independent and identically
+distributed; correlated error budgets are out of scope.
+
+Arithmetic of the block kernel: the normals phi_i are drawn in float64; each
+phase sigma_phi*phi_i is reduced exactly in float64 by ``fmod`` with 2*pi,
+then cast to float32 (within 2.4e-7 rad of the float64 phase); cos and sin
+run in float32 and are summed over the nodes in float64; the gain is clamped
+at 1.0.  Each trial's gain is within 1e-6 of the float64 form above, and
+with zero phase error it is exactly 1.0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,15 +56,19 @@ class CoherenceScenario:
 
 @dataclass(frozen=True)
 class CoherentGainReport:
-    """All fields are power-gain fractions in [0, 1] relative to ideal N^2."""
+    """Power-gain fractions relative to ideal N^2, each in [0, 1].
+
+    ``se_mean_gain_fraction`` is the Monte Carlo standard error of
+    ``mean_gain_fraction``; it is undefined for one trial, where it reads 0.0.
+    """
 
     mean_gain_fraction: float
     analytic_gain_fraction: float
     p_gain_above_90pct: float
+    se_mean_gain_fraction: float
 
     def __post_init__(self):
-        for name in ("mean_gain_fraction", "analytic_gain_fraction", "p_gain_above_90pct"):
-            v = getattr(self, name)
+        for name, v in asdict(self).items():
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} out of [0, 1]: {v}")
 
@@ -88,10 +99,23 @@ def analytic_gain_fraction(n_nodes: int, sigma_phi: float) -> float:
 
 def _block_gains(scenario: CoherenceScenario, block: range) -> np.ndarray:
     """The block kernel: the gain fraction of each trial of one block, drawn
-    from the block's generator (see :mod:`rangekit.rand`)."""
+    from the block's generator (see :mod:`rangekit.rand`).
+
+    The float64 normals are scaled to phases and reduced exactly by ``fmod``
+    in float64, so no finite phase overflows the float32 cast that follows.
+    cos and sin run in float32 and are summed over the nodes in float64.  A
+    float32 cos of a phase below about 2.4e-4 rad rounds to 1.0, which can
+    lift g past 1, so g is clamped there.  Each g is within 1e-6 of
+    ``|sum(exp(1j*sigma_phi*phi))|**2 / n**2`` on the same draw, and exactly
+    1.0 when ``sigma_phi`` is 0.
+    """
     n = scenario.n_nodes
     phi = rand.trial_generator(scenario.seed, block.start).standard_normal((len(block), n))
-    return np.abs(np.sum(np.exp(1j * scenario.sigma_phi() * phi), axis=1)) ** 2 / n**2
+    # node-major phases, so each node sum adds whole rows in a fixed order
+    x = np.fmod(scenario.sigma_phi() * phi.T, 2.0 * np.pi).astype(np.float32, order="C")
+    re = np.cos(x).astype(float).sum(axis=0)
+    im = np.sin(x).astype(float).sum(axis=0)
+    return np.minimum((re * re + im * im) / n**2, 1.0)
 
 
 def gain_fractions(scenario: CoherenceScenario) -> np.ndarray:
@@ -100,21 +124,28 @@ def gain_fractions(scenario: CoherenceScenario) -> np.ndarray:
 
 
 def coherent_gain(scenario: CoherenceScenario, workers: int = 1) -> CoherentGainReport:
-    """Monte Carlo coherent-gain fraction, with the closed-form expectation
-    and the empirical probability of staying above 0.9.
+    """Monte Carlo coherent-gain fraction with its standard error, the
+    closed-form expectation and the empirical probability of staying above 0.9.
 
     Each block of trials reduces its gain fractions (those of
-    :func:`gain_fractions`) to their sum and the count above 0.9, which
-    :func:`rand.run_trials` adds in block order, so the report is
-    bit-identical for any worker count.
+    :func:`gain_fractions`) to their sum, their sum of squares and the count
+    above 0.9, which :func:`rand.run_trials` adds in block order, so the
+    report is bit-identical for any worker count.  The standard error is
+    ``sqrt(s**2 / trials)`` with the sample variance ``s**2`` (``trials - 1``
+    in its denominator); it is undefined for one trial and reported as 0.0.
     """
     def run_block(block: range) -> np.ndarray:
         g = _block_gains(scenario, block)
-        return np.array([np.sum(g), np.count_nonzero(g > 0.9)])
+        return np.array([np.sum(g), np.sum(g * g), np.count_nonzero(g > 0.9)])
 
-    total, above = rand.run_trials(run_block, scenario.trials, workers)
+    total, total_sq, above = rand.run_trials(run_block, scenario.trials, workers)
+    trials = scenario.trials
+    mean = total / trials
+    # the sum of squared deviations is 0 for one trial; rounding can take it just below 0
+    var = max(total_sq - total * mean, 0.0) / max(trials - 1, 1)
     return CoherentGainReport(
-        mean_gain_fraction=float(total / scenario.trials),
+        mean_gain_fraction=float(mean),
         analytic_gain_fraction=analytic_gain_fraction(scenario.n_nodes, scenario.sigma_phi()),
-        p_gain_above_90pct=float(above / scenario.trials),
+        p_gain_above_90pct=float(above / trials),
+        se_mean_gain_fraction=float(np.sqrt(var / trials)),
     )

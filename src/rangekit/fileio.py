@@ -42,7 +42,8 @@ DISPLACEMENT_HEADER = "theta_deg,dx0_m,dz0_m"
 BANDS_HEADER = "f_res_hz,s11_min_db,f_low_hz,f_high_hz,fbw"
 SWEEP_HEADER = "delta_f_hz,snr_db,crlb_std_range_m,mc_rmse_range_m,crlb_ratio,failures"
 COHERENCE_GRID_HEADER = (
-    "sigma_range_m,sigma_phi_rad,mean_gain_fraction,analytic_gain_fraction,p_gain_above_90pct"
+    "sigma_range_m,sigma_phi_rad,mean_gain_fraction,analytic_gain_fraction,p_gain_above_90pct,"
+    "se_mean_gain_fraction"
 )
 
 

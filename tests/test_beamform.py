@@ -1,7 +1,9 @@
 """Coherent-gain mapping tests: phase-error model and Monte Carlo."""
 
 import functools
+import json
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +13,13 @@ from rangekit import SPEED_OF_LIGHT, rand
 from rangekit.beamform import (
     CoherenceScenario,
     CoherentGainReport,
+    _block_gains,
     analytic_gain_fraction,
     coherent_gain,
     gain_fractions,
     range_to_phase_error,
 )
+from rangekit.cli import dispatch
 
 F_ACTION = 1.88e9
 
@@ -56,6 +60,7 @@ def test_coherent_gain_zero_error_is_exact():
     assert report.mean_gain_fraction == 1.0
     assert report.analytic_gain_fraction == 1.0
     assert report.p_gain_above_90pct == 1.0
+    assert report.se_mean_gain_fraction == 0.0
 
 
 def test_coherent_gain_matches_closed_form():
@@ -100,6 +105,9 @@ def test_workers_do_not_change_results():
         report = coherent_gain(scen, workers=1)
         assert report.p_gain_above_90pct == np.mean(base > 0.9)
         assert report.mean_gain_fraction == functools.reduce(operator.add, block_sums) / trials
+        # the standard error is undefined for one trial, where it reads 0.0
+        se = np.std(base, ddof=1) / np.sqrt(trials) if trials > 1 else 0.0
+        assert report.se_mean_gain_fraction == pytest.approx(se, rel=1e-9)
         for workers in (2, 3, 8):
             assert coherent_gain(scen, workers=workers) == report
 
@@ -145,6 +153,42 @@ def test_scenario_validation():
 
 def test_report_validation():
     with pytest.raises(ValueError):
-        CoherentGainReport(1.2, 0.5, 0.5)
+        CoherentGainReport(1.2, 0.5, 0.5, 0.01)
     with pytest.raises(ValueError):
-        CoherentGainReport(0.5, 0.5, -0.1)
+        CoherentGainReport(0.5, 0.5, -0.1, 0.01)
+    with pytest.raises(ValueError, match="se_mean_gain_fraction"):
+        CoherentGainReport(0.5, 0.5, 0.5, np.nan)
+
+
+@pytest.mark.parametrize("sigma_phi", [1e-4, 0.5, 3.0, 30.0, 1e3])
+def test_block_kernel_matches_float64_reference(sigma_phi):
+    # float32 trig on exactly reduced phases stays within 1e-6 of the
+    # float64 complex form on the same draw; a float32 phase taken without
+    # the float64 reduction is off by ~1e-4 at sigma_phi = 1e3
+    block = range(rand.BLOCK_TRIALS, 2 * rand.BLOCK_TRIALS)
+    scen = CoherenceScenario(10, F_ACTION, sigma_range_for(sigma_phi), trials=block.stop, seed=4)
+    phi = rand.trial_generator(scen.seed, block.start).standard_normal((len(block), 10))
+    reference = np.abs(np.sum(np.exp(1j * scen.sigma_phi() * phi), axis=1)) ** 2 / 100
+    assert np.max(np.abs(_block_gains(scen, block) - reference)) <= 1e-6
+
+
+def test_tiny_phase_error_gain_stays_at_most_one():
+    # a float32 cos of a phase below ~2.4e-4 rad rounds to 1.0, which lifts
+    # most unclamped gains past 1 here; the report would then refuse its mean
+    scen = CoherenceScenario(10, F_ACTION, sigma_range_for(1e-4), trials=2000, seed=2)
+    g = gain_fractions(scen)
+    assert np.all(g <= 1.0) and np.count_nonzero(g == 1.0) > 0
+    report = coherent_gain(scen)
+    assert report.mean_gain_fraction == pytest.approx(report.analytic_gain_fraction, abs=1e-6)
+
+
+def test_huge_phase_error_reduces_without_overflow(capsys):
+    # sigma_phi ~ 2e292 rad: a float32 cast of the unreduced phase overflows
+    argv = ["coherence", "--nodes", "2", "--f-action", "1", "--sigma-range", "1e300",
+            "--trials", "20"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(argv) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert 0.0 <= report["mean_gain_fraction"] <= 1.0
+    assert report["analytic_gain_fraction"] == 0.5

@@ -933,11 +933,13 @@ def test_console_script_entry_point():
 
 
 def test_module_invocation():
+    env = dict(os.environ, PYTHONPATH=str(Path(rangekit.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "rangekit.cli", "--version"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert proc.returncode == 0
 

@@ -226,9 +226,9 @@ def test_farfield_load_quoted_blank_and_crlf(tmp_path):
         ),
         (
             write_coherence_grid_csv,
-            [(np.float64(0.004), 0.25, CoherentGainReport(0.98, 0.975, 1.0))],
+            [(np.float64(0.004), 0.25, CoherentGainReport(0.98, 0.975, 1.0, 0.002))],
             COHERENCE_GRID_HEADER,
-            "0.004,0.25,0.98,0.975,1.0",
+            "0.004,0.25,0.98,0.975,1.0,0.002",
         ),
     ],
     ids=["farfield", "spectrum", "displacement", "bands", "sweep", "coherence-grid"],
