@@ -14,12 +14,20 @@ which the Monte Carlo estimate is reported against, with its standard
 error.  Phase errors are modeled as independent and identically
 distributed; correlated error budgets are out of scope.
 
-Arithmetic of the block kernel: the normals phi_i are drawn in float64; each
-phase sigma_phi*phi_i is reduced exactly in float64 by ``fmod`` with 2*pi,
-then cast to float32 (within 2.4e-7 rad of the float64 phase); cos and sin
-run in float32 and are summed over the nodes in float64; the gain is clamped
-at 1.0.  Each trial's gain is within 1e-6 of the float64 form above, and
-with zero phase error it is exactly 1.0.
+Arithmetic of the block kernel: the normals phi_i are drawn in float64 and
+scaled to phases; a phase with |x| >= 2*pi is reduced exactly in float64 by
+``fmod`` with 2*pi (``fmod`` returns a smaller phase unchanged), so no
+finite phase overflows the cast of every phase to float32 that follows
+(within 2.4e-7 rad of the float64 phase).  The kernel works with the loss
+d = 1 - g rather than with g: from S = sum sin^2(x_i/2) and
+im = sum sin(x_i), each sine taken in float32 and the sums in float64, the
+real part is n - 2S and
+
+    d = (4*S*(n - S) - im^2) / n^2, clamped to [0, 1],
+
+so the error stays relative to d instead of to 1 and a small phase error
+does not bias the mean gain.  Each trial's gain is within 1e-6 of the
+float64 form above, and with zero phase error it is exactly 1.0.
 """
 
 from __future__ import annotations
@@ -97,54 +105,60 @@ def analytic_gain_fraction(n_nodes: int, sigma_phi: float) -> float:
     return float((1.0 + (n_nodes - 1) * np.exp(-(min(sigma_phi, 28.0) ** 2))) / n_nodes)
 
 
-def _block_gains(scenario: CoherenceScenario, block: range) -> np.ndarray:
-    """The block kernel: the gain fraction of each trial of one block, drawn
-    from the block's generator (see :mod:`rangekit.rand`).
-
-    The float64 normals are scaled to phases and reduced exactly by ``fmod``
-    in float64, so no finite phase overflows the float32 cast that follows.
-    cos and sin run in float32 and are summed over the nodes in float64.  A
-    float32 cos of a phase below about 2.4e-4 rad rounds to 1.0, which can
-    lift g past 1, so g is clamped there.  Each g is within 1e-6 of
-    ``|sum(exp(1j*sigma_phi*phi))|**2 / n**2`` on the same draw, and exactly
-    1.0 when ``sigma_phi`` is 0.
+def _losses(x: np.ndarray) -> np.ndarray:
+    """The gain loss 1 - g of each column of ``x``, node-major float64
+    phases of shape (nodes, trials), by the arithmetic in the module
+    docstring.  Only phases with |x| >= 2*pi go through ``fmod``, which
+    returns the others unchanged; ``x`` is overwritten with the reduced
+    phases.
     """
+    n = len(x)
+    np.fmod(x, 2.0 * np.pi, out=x, where=np.abs(x) >= 2.0 * np.pi)
+    x = x.astype(np.float32, order="C")
+    s = np.square(np.sin(0.5 * x), dtype=float).sum(axis=0)
+    im = np.sin(x).sum(axis=0, dtype=float)
+    return np.clip((4.0 * s * (n - s) - im * im) / n**2, 0.0, 1.0)
+
+
+def _block_losses(scenario: CoherenceScenario, block: range) -> np.ndarray:
+    """The block kernel: the gain loss 1 - g of each trial of one block,
+    drawn from the block's generator (see :mod:`rangekit.rand`)."""
     n = scenario.n_nodes
     phi = rand.trial_generator(scenario.seed, block.start).standard_normal((len(block), n))
     # node-major phases, so each node sum adds whole rows in a fixed order
-    x = np.fmod(scenario.sigma_phi() * phi.T, 2.0 * np.pi).astype(np.float32, order="C")
-    re = np.cos(x).astype(float).sum(axis=0)
-    im = np.sin(x).astype(float).sum(axis=0)
-    return np.minimum((re * re + im * im) / n**2, 1.0)
+    return _losses(scenario.sigma_phi() * phi.T)
 
 
 def gain_fractions(scenario: CoherenceScenario) -> np.ndarray:
     """Per-trial gain fractions, drawn block by block as :func:`coherent_gain` draws them."""
-    return np.concatenate([_block_gains(scenario, b) for b in rand.blocks(range(scenario.trials))])
+    return 1.0 - np.concatenate([_block_losses(scenario, b) for b in rand.blocks(range(scenario.trials))])
 
 
 def coherent_gain(scenario: CoherenceScenario, workers: int = 1) -> CoherentGainReport:
     """Monte Carlo coherent-gain fraction with its standard error, the
     closed-form expectation and the empirical probability of staying above 0.9.
 
-    Each block of trials reduces its gain fractions (those of
-    :func:`gain_fractions`) to their sum, their sum of squares and the count
-    above 0.9, which :func:`rand.run_trials` adds in block order, so the
-    report is bit-identical for any worker count.  The standard error is
-    ``sqrt(s**2 / trials)`` with the sample variance ``s**2`` (``trials - 1``
-    in its denominator); it is undefined for one trial and reported as 0.0.
+    Each block of trials reduces its losses 1 - g (those of
+    :func:`_block_losses`) to their sum, their sum of squares and the count
+    of gains above 0.9, which :func:`rand.run_trials` adds in block order, so
+    the report is bit-identical for any worker count.  Summing the losses
+    rather than the gains keeps both the mean and the variance free of the
+    cancellation against 1 that a small phase error would bring.  The
+    standard error is ``sqrt(s**2 / trials)`` with the sample variance
+    ``s**2`` (``trials - 1`` in its denominator); it is undefined for one
+    trial and reported as 0.0.
     """
     def run_block(block: range) -> np.ndarray:
-        g = _block_gains(scenario, block)
-        return np.array([np.sum(g), np.sum(g * g), np.count_nonzero(g > 0.9)])
+        d = _block_losses(scenario, block)
+        return np.array([np.sum(d), np.sum(d * d), np.count_nonzero(1.0 - d > 0.9)])
 
     total, total_sq, above = rand.run_trials(run_block, scenario.trials, workers)
     trials = scenario.trials
-    mean = total / trials
+    loss = total / trials
     # the sum of squared deviations is 0 for one trial; rounding can take it just below 0
-    var = max(total_sq - total * mean, 0.0) / max(trials - 1, 1)
+    var = max(total_sq - total * loss, 0.0) / max(trials - 1, 1)
     return CoherentGainReport(
-        mean_gain_fraction=float(mean),
+        mean_gain_fraction=float(1.0 - loss),
         analytic_gain_fraction=analytic_gain_fraction(scenario.n_nodes, scenario.sigma_phi()),
         p_gain_above_90pct=float(above / trials),
         se_mean_gain_fraction=float(np.sqrt(var / trials)),

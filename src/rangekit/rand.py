@@ -1,13 +1,14 @@
 """Deterministic, partition-independent Monte Carlo trial streams.
 
 Trials run in fixed blocks of ``BLOCK_TRIALS``, each drawing its noise in
-bulk, in row-major trial order, from one counter-based Philox generator keyed
-by (master seed, block start), so a partial last block draws a prefix of the
-full block's stream.  A block reduces its trials to a small summary (a few
-sums), and :func:`run_trials` adds the summaries left to right in block
-order, so results are bit-identical for any worker count.  With one worker
-only the running sum is kept, and memory does not grow with the trial count;
-with more, each block's summary is held until the ordered sum.
+bulk, in row-major trial order, from its own SFC64 generator, seeded by
+``SeedSequence(master seed, spawn_key=(block start,))``, so a partial last
+block draws a prefix of the full block's stream.  A block reduces its
+trials to a small summary (a few sums), and :func:`run_trials` adds the
+summaries left to right in block order, so results are bit-identical for
+any worker count.  With one worker only the running sum is kept, and
+memory does not grow with the trial count; with more, each block's summary
+is held until the ordered sum.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ def check_seed(seed) -> int:
 
 
 def trial_generator(seed: int, trial_index: int) -> np.random.Generator:
-    """Generator for the block of trials starting at ``trial_index``, keyed by (seed, trial_index)."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, trial_index], dtype=np.uint64)))
+    """Generator for the block of trials starting at ``trial_index``: SFC64
+    seeded by the seed sequence of ``seed`` spawned at ``(trial_index,)``."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(trial_index,))))
 
 
 def partition(trials: int, workers: int) -> list[range]:

@@ -13,7 +13,8 @@ from rangekit import SPEED_OF_LIGHT, rand
 from rangekit.beamform import (
     CoherenceScenario,
     CoherentGainReport,
-    _block_gains,
+    _block_losses,
+    _losses,
     analytic_gain_fraction,
     coherent_gain,
     gain_fractions,
@@ -100,11 +101,12 @@ def test_workers_do_not_change_results():
         base = gain_fractions(scen)
         # a run's first trials do not depend on the total trial count
         assert np.array_equal(base, longest[:trials])
-        # the report adds each block's sum of gains in block order
-        block_sums = [np.sum(base[i:i + rand.BLOCK_TRIALS]) for i in range(0, trials, rand.BLOCK_TRIALS)]
+        # the report adds each block's sum of losses 1 - g in block order
+        losses = [_block_losses(scen, b) for b in rand.blocks(range(trials))]
+        assert np.array_equal(base, 1.0 - np.concatenate(losses))
         report = coherent_gain(scen, workers=1)
         assert report.p_gain_above_90pct == np.mean(base > 0.9)
-        assert report.mean_gain_fraction == functools.reduce(operator.add, block_sums) / trials
+        assert report.mean_gain_fraction == 1.0 - functools.reduce(operator.add, map(np.sum, losses)) / trials
         # the standard error is undefined for one trial, where it reads 0.0
         se = np.std(base, ddof=1) / np.sqrt(trials) if trials > 1 else 0.0
         assert report.se_mean_gain_fraction == pytest.approx(se, rel=1e-9)
@@ -160,26 +162,63 @@ def test_report_validation():
         CoherentGainReport(0.5, 0.5, 0.5, np.nan)
 
 
+def draw_phases(sigma_phi, seed=4):
+    """The scenario and node-major phases of the second block of a 10-node run."""
+    block = range(rand.BLOCK_TRIALS, 2 * rand.BLOCK_TRIALS)
+    scen = CoherenceScenario(10, F_ACTION, sigma_range_for(sigma_phi), trials=block.stop, seed=seed)
+    phi = rand.trial_generator(scen.seed, block.start).standard_normal((len(block), 10))
+    return scen, block, scen.sigma_phi() * phi.T
+
+
 @pytest.mark.parametrize("sigma_phi", [1e-4, 0.5, 3.0, 30.0, 1e3])
 def test_block_kernel_matches_float64_reference(sigma_phi):
     # float32 trig on exactly reduced phases stays within 1e-6 of the
     # float64 complex form on the same draw; a float32 phase taken without
     # the float64 reduction is off by ~1e-4 at sigma_phi = 1e3
-    block = range(rand.BLOCK_TRIALS, 2 * rand.BLOCK_TRIALS)
-    scen = CoherenceScenario(10, F_ACTION, sigma_range_for(sigma_phi), trials=block.stop, seed=4)
-    phi = rand.trial_generator(scen.seed, block.start).standard_normal((len(block), 10))
-    reference = np.abs(np.sum(np.exp(1j * scen.sigma_phi() * phi), axis=1)) ** 2 / 100
-    assert np.max(np.abs(_block_gains(scen, block) - reference)) <= 1e-6
+    scen, block, x = draw_phases(sigma_phi)
+    reference = np.abs(np.sum(np.exp(1j * x), axis=0)) ** 2 / 100
+    assert np.max(np.abs(1.0 - _block_losses(scen, block) - reference)) <= 1e-6
+
+
+@pytest.mark.parametrize("sigma_phi", [0.5, 3.0, 30.0, 1e10])
+def test_selective_reduction_matches_reducing_every_phase(sigma_phi):
+    # fmod returns a phase below 2*pi in magnitude exactly, so reducing only
+    # the larger ones gives the kernel the same float32 phases
+    _, _, x = draw_phases(sigma_phi)
+    reduced = np.fmod(x, 2.0 * np.pi)
+    assert np.array_equal(_losses(x.copy()), _losses(reduced))
+    # no phase of this draw reaches 2*pi at 0.5 rad, so none is reduced; some do at 3 rad and up
+    assert np.any(np.abs(x) >= 2.0 * np.pi) == (sigma_phi >= 3.0)
 
 
 def test_tiny_phase_error_gain_stays_at_most_one():
-    # a float32 cos of a phase below ~2.4e-4 rad rounds to 1.0, which lifts
-    # most unclamped gains past 1 here; the report would then refuse its mean
+    # at 1e-4 rad a float32 cos rounds to 1.0; the kernel's loss 1 - g
+    # resolves it instead, so no gain passes 1 or rounds up to exactly 1,
+    # and the mean sits within a few standard errors of the closed form
     scen = CoherenceScenario(10, F_ACTION, sigma_range_for(1e-4), trials=2000, seed=2)
     g = gain_fractions(scen)
-    assert np.all(g <= 1.0) and np.count_nonzero(g == 1.0) > 0
+    assert np.all(g < 1.0)
     report = coherent_gain(scen)
-    assert report.mean_gain_fraction == pytest.approx(report.analytic_gain_fraction, abs=1e-6)
+    assert abs(report.mean_gain_fraction - report.analytic_gain_fraction) <= 4 * report.se_mean_gain_fraction
+
+
+def test_small_phase_error_mean_is_unbiased():
+    # on the same draw, the mean gain matches the float64 complex form to far
+    # below its standard error; a float32 cos near 1 biased it by ~80 SE
+    scen, block, x = draw_phases(1e-4, seed=1)
+    reference = 1.0 - np.mean(np.abs(np.sum(np.exp(1j * x), axis=0)) ** 2 / 100)
+    loss = _block_losses(scen, block)
+    se = np.std(loss, ddof=1) / np.sqrt(len(block))
+    assert abs(np.mean(loss) - reference) <= 0.01 * se
+
+
+@pytest.mark.parametrize("sigma_phi", [1e-4, 0.5])
+def test_standard_error_matches_sample_std(sigma_phi):
+    # the report's variance comes from per-block sums of the losses, which
+    # do not cancel against 1 at a tiny phase error
+    scen = CoherenceScenario(10, F_ACTION, sigma_range_for(sigma_phi), trials=5000, seed=1)
+    se = np.std(gain_fractions(scen), ddof=1) / np.sqrt(scen.trials)
+    assert coherent_gain(scen).se_mean_gain_fraction == pytest.approx(se, rel=0.01)
 
 
 def test_huge_phase_error_reduces_without_overflow(capsys):

@@ -8,6 +8,29 @@ import numpy as np
 from rangekit import rand
 
 
+def test_trial_generator_is_sfc64_keyed_by_seed_sequence():
+    # the documented stream, and the same key always gives it
+    expected = np.random.Generator(np.random.SFC64(np.random.SeedSequence(3, spawn_key=(1024,))))
+    a = rand.trial_generator(3, 1024).standard_normal(16)
+    assert np.array_equal(a, expected.standard_normal(16))
+    assert np.array_equal(a, rand.trial_generator(3, 1024).standard_normal(16))
+
+
+def test_partial_block_draws_a_prefix_of_the_full_block():
+    full = rand.trial_generator(9, rand.BLOCK_TRIALS).standard_normal((rand.BLOCK_TRIALS, 10))
+    for rows in (1, 100, rand.BLOCK_TRIALS - 1):
+        part = rand.trial_generator(9, rand.BLOCK_TRIALS).standard_normal((rows, 10))
+        assert np.array_equal(part, full[:rows])
+
+
+def test_blocks_and_seeds_give_distinct_streams():
+    keys = [(0, 0), (0, rand.BLOCK_TRIALS), (rand.BLOCK_TRIALS, 0), (2**64 - 1, 0)]
+    draws = [rand.trial_generator(seed, start).standard_normal(8) for seed, start in keys]
+    for i in range(len(draws)):
+        for j in range(i):
+            assert not np.array_equal(draws[i], draws[j]), (keys[i], keys[j])
+
+
 def test_seeds_above_2_63_give_distinct_streams():
     a = rand.trial_generator(2**63, 0).standard_normal(8)
     b = rand.trial_generator(2**63 + 5, 0).standard_normal(8)
