@@ -382,7 +382,10 @@ def sha256_of(path) -> str:
 
 
 def manifest_path_for(output_path) -> Path:
-    return Path(output_path).with_suffix(".manifest.json")
+    """``<out>.manifest.json``, keeping the output's suffix, so that outputs
+    differing only in suffix (``nob.csv``, ``nob.json``) keep one each."""
+    path = Path(output_path)
+    return path.with_name(path.name + ".manifest.json")
 
 
 def write_manifest(output_path, command, parameters, input_paths=(), extra_outputs=()) -> Path:

@@ -28,7 +28,10 @@ RMSE so the bound comparison stays honest.  The Monte Carlo's per-trial
 cost does not depend on the record length: it draws the noise directly at
 the L ~ ``fs/df`` window lags, as r <= L complex normals, where r is the
 number of frequency bins the template occupies (2 for a two-tone record of
-whole cycles).  Its set-up is one template FFT plus O(r*L) work, and is
+whole cycles).  For a record holding whole cycles of every tone its set-up
+costs O(r*L) and does not depend on the record length either, because the
+occupied bins and their powers follow from the tones; any other record is
+synthesized and transformed once, with a QR when r > L.  The set-up is
 reused while the waveform and the true delay stay the same.  Scenarios that
 differ only in SNR, as down a sweep's SNR column, share their noise stream:
 :func:`monte_carlo_column` draws each block's normals once and scales them
@@ -197,15 +200,42 @@ def _refine_peaks(env: np.ndarray, lags: np.ndarray, sample_rate: float) -> np.n
     return (lags[local] + p) / sample_rate
 
 
+# A tone this close to a whole number of cycles leaks under 1e-18 of its
+# power into any other bin, far below the eps * max-power cut that picks the
+# occupied bins of the FFT, so both find the same bins.
+_WHOLE_CYCLE_TOL = 1e-9
+
+
+def _tone_bins(tones: ToneSet, n: int, sample_rate: float):
+    """Occupied bins, ascending, and their powers ``P_k = fs * w_k`` of an
+    n-sample record of ``tones``, from the tones alone; ``None`` unless every
+    tone holds within :data:`_WHOLE_CYCLE_TOL` of a whole number of cycles,
+    each in a bin of its own."""
+    cycles = tones.frequencies * n / sample_rate
+    nearest = np.rint(cycles)
+    if np.max(np.abs(cycles - nearest)) > _WHOLE_CYCLE_TOL:
+        return None
+    bins = nearest.astype(np.int64) % n  # negative frequencies wrap to the top bins
+    order = np.argsort(bins)
+    bins = bins[order]
+    if np.any(bins[1:] == bins[:-1]):  # two tones share a bin
+        return None
+    return bins, sample_rate * tones.energy_weights()[order]
+
+
 @functools.lru_cache(maxsize=1)
 def _window_setup(tones: ToneSet, duration: float, sample_rate: float, true_delay: float,
                   window: float):
     """Lags, clean correlation and unit noise factor of the Monte Carlo over
-    the delay window ``(0, window)``, all from one FFT of the template.
+    the delay window ``(0, window)``, from the template's occupied bins.
 
-    With ``T_k`` the template's FFT and ``P_k = |T_k|^2 / n`` kept for every
-    bin above rounding, both results are sums over the phasors
-    ``exp(2j pi k l / n)`` at the window's ``lags``:
+    For a record of whole cycles of every tone the r occupied bins and their
+    powers ``P_k = |T_k|^2 / n``, with ``T_k`` the template's FFT, follow
+    from the tones alone (:func:`_tone_bins`), so set-up costs O(r*L) for L
+    lags and does not depend on the record length n.  Any other record is
+    synthesized and transformed, and every bin above rounding is kept.
+    Both results are then sums over the phasors ``exp(2j pi k l / n)`` at
+    the window's ``lags``:
 
     - ``clean[l] = sum_k P_k exp(-2j pi f_k tau) exp(2j pi k l / n)`` is the
       circular cross-correlation of the template delayed by ``tau`` against
@@ -214,22 +244,27 @@ def _window_setup(tones: ToneSet, duration: float, sample_rate: float, true_dela
       ``unit_factor.T @ unit_factor.conj()`` is ``G``, the covariance at the
       lags of unit-variance complex white noise correlated against the
       template, and ``z @ unit_factor`` for r standard complex normals is
-      that noise, exactly.  More than L rows are reduced to L by an
-      O(n*L^2) QR, which leaves ``G`` unchanged.
+      that noise, exactly.  More than L rows are reduced to L by a QR of
+      O(r*L^2), which leaves ``G`` unchanged.
 
     Neither depends on the SNR, so the last result is cached: the SNR column
     of a sweep, or repeated runs of one scenario, set up once.  The returned
     arrays are read-only.
     """
-    template = synth_two_tone(tones, duration, sample_rate).samples
-    n = len(template)
+    n = record_length(tones, duration, sample_rate)
     lags = _search_lags(sample_rate, (0.0, window))
-    power = np.abs(np.fft.fft(template)) ** 2 / n
-    bins = np.flatnonzero(power > power.max() * np.finfo(float).eps)
+    whole_cycles = _tone_bins(tones, n, sample_rate)
+    if whole_cycles is None:
+        power = np.abs(np.fft.fft(synth_two_tone(tones, duration, sample_rate).samples)) ** 2 / n
+        bins = np.flatnonzero(power > power.max() * np.finfo(float).eps)
+        power = power[bins]
+    else:
+        bins, power = whole_cycles
     phasors = np.exp((2j * np.pi / n) * (np.outer(bins, lags) % n))
-    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)[bins]
-    clean = (power[bins] * np.exp(-2j * np.pi * freqs * true_delay)) @ phasors
-    unit_factor = np.sqrt(power[bins])[:, np.newaxis] * phasors
+    # np.fft.fftfreq(n, 1 / fs)[bins], with fftfreq's own arithmetic
+    freqs = np.where(bins < (n - 1) // 2 + 1, bins, bins - n) * (1.0 / (n * (1.0 / sample_rate)))
+    clean = (power * np.exp(-2j * np.pi * freqs * true_delay)) @ phasors
+    unit_factor = np.sqrt(power)[:, np.newaxis] * phasors
     if len(bins) > len(lags):
         unit_factor = np.linalg.qr(unit_factor, mode="r")
     for array in (lags, clean, unit_factor):

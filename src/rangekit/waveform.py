@@ -20,6 +20,7 @@ a ``kind`` tag or a ``from_tones`` constructor; pass the ``ToneSet`` itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,11 +147,11 @@ def record_length(tones: ToneSet, duration: float, sample_rate: float) -> int:
     ValueError names the first rule it breaks: finite, positive duration,
     Nyquist, and from 2 samples up to numpy's complex128 index range."""
     product = float(duration) * float(sample_rate)  # two ints could multiply past int64
-    if not np.all(np.isfinite([duration, sample_rate, product])):
+    if not all(math.isfinite(v) for v in (duration, sample_rate, product)):
         raise ValueError("duration, sample_rate and their product must be finite")
     if duration <= 0:
         raise ValueError("duration must be positive")
-    f_max = float(np.max(np.abs(tones.frequencies)))
+    f_max = max(abs(float(t.frequency)) for t in tones.tones)
     if sample_rate <= 2.0 * f_max:
         raise ValueError(
             f"sample_rate {sample_rate:g} Hz violates Nyquist for max tone "

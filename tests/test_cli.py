@@ -98,7 +98,7 @@ def test_waveform_flags(tmp_path, capsys):
     assert doc["zeta_f2_analytic_rad2_s2"] == pytest.approx((np.pi * 1e9) ** 2, rel=1e-12)
     assert doc["ratio_vs_flat_spectrum"] == pytest.approx(3.0, rel=1e-12)
     assert out.exists()
-    manifest = json.loads((tmp_path / "spec.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "spec.csv.manifest.json").read_text())
     assert manifest["command"][1] == "waveform"
     assert str(out) in manifest["outputs"]
 
@@ -142,7 +142,7 @@ def test_range_sim_end_to_end(tmp_path, capsys):
     report = tmp_path / "report.json"
     assert report.exists()
     assert json.loads(report.read_text()) == doc
-    assert (tmp_path / "report.manifest.json").exists()
+    assert (tmp_path / "report.json.manifest.json").exists()
 
 
 def test_range_sim_reruns_byte_identical(tmp_path, capsys):
@@ -151,8 +151,8 @@ def test_range_sim_reruns_byte_identical(tmp_path, capsys):
         assert dispatch(["range-sim", "-q", "--scenario", str(scen), "--out", name]) == 0
     capsys.readouterr()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-    ma = json.loads((tmp_path / "a.manifest.json").read_text())
-    mb = json.loads((tmp_path / "b.manifest.json").read_text())
+    ma = json.loads((tmp_path / "a.json.manifest.json").read_text())
+    mb = json.loads((tmp_path / "b.json.manifest.json").read_text())
     for m in (ma, mb):
         m.pop("created_utc")
         m.pop("command")
@@ -345,7 +345,7 @@ def test_phase_center_end_to_end(tmp_path, capsys):
     assert out.exists()
     stats_path = tmp_path / "series.stats.json"
     assert json.loads(stats_path.read_text()) == doc
-    manifest = json.loads((tmp_path / "series.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "series.csv.manifest.json").read_text())
     assert str(stats_path) in manifest["outputs"]
     assert len(manifest["inputs"]) == 2
 
@@ -387,6 +387,9 @@ def test_s11_bands_csv_and_json(tmp_path, capsys):
     capsys.readouterr()
     back = json.loads(out_json.read_text())
     assert [b["f_resonance_hz"] for b in back["bands"]] == [1.88e9, 9.56e9, 10.49e9]
+    # outputs that differ only in suffix keep a manifest each
+    for out in (out_csv, out_json):
+        assert json.loads(manifest_path_for(out).read_text())["outputs"] == [str(out)]
 
 
 def test_s11_bands_csv_without_bands(tmp_path, capsys):
@@ -568,8 +571,8 @@ def test_coherence_outputs_land_in_output_dir(tmp_path, capsys, monkeypatch):
     assert dispatch(coherence + ["--sigma-grid", "0:0.002:0.004", "--out", "g.csv"]) == 0
     assert capsys.readouterr().out == f"wrote 3 grid points to {Path('outdir', 'g.csv')}\n"
     assert sorted(p.name for p in Path("outdir").iterdir()) == [
-        "g.csv", "g.manifest.json", "r.json", "r.manifest.json"]
-    manifest = json.loads(Path("outdir/g.manifest.json").read_text())
+        "g.csv", "g.csv.manifest.json", "r.json", "r.json.manifest.json"]
+    manifest = json.loads(Path("outdir/g.csv.manifest.json").read_text())
     assert manifest["outputs"] == [str(Path("outdir", "g.csv"))]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "scenario.json"]
 
@@ -669,7 +672,7 @@ def test_geometry_reference_and_validate(tmp_path, capsys):
     capsys.readouterr()
     dims = load_dimensions(out)
     assert validate(dims) == []
-    assert (tmp_path / "dims.manifest.json").exists()
+    assert (tmp_path / "dims.json.manifest.json").exists()
     assert dispatch(["geometry", "validate", "--in", str(out), "-q"]) == 0
 
 
@@ -791,7 +794,7 @@ def test_sweep_cli(tmp_path, capsys):
     assert len(lines) == 5
     seps = {float(line.split(",")[0]) for line in lines[1:]}
     assert seps == {0.5e9, 1e9}
-    assert (tmp_path / "surface.manifest.json").exists()
+    assert (tmp_path / "surface.csv.manifest.json").exists()
 
 
 @pytest.mark.parametrize("sample_rate", ["4e9", "1e300"], ids=["nyquist", "record-too-long"])

@@ -368,7 +368,7 @@ def test_manifest_contents(tmp_path):
         extra_outputs=[extra],
     )
     assert mpath == manifest_path_for(out)
-    assert mpath.name == "result.manifest.json"
+    assert mpath.name == "result.csv.manifest.json"
     doc = json.loads(mpath.read_text())
     assert doc["tool"] == "rangekit"
     assert doc["command"][1] == "s11-bands"

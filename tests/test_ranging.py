@@ -7,13 +7,14 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from helpers import traced_peak
-from rangekit import SPEED_OF_LIGHT, fileio, rand
+from rangekit import SPEED_OF_LIGHT, fileio, rand, ranging
 from rangekit.cli import dispatch
 from rangekit.ranging import (
     RangingScenario,
     _noise_sigma,
     _refine_peaks,
     _search_lags,
+    _tone_bins,
     _window_setup,
     crlb_range,
     crlb_result,
@@ -355,6 +356,56 @@ def test_lag_noise_factor_matches_sample_domain_gram(tones, duration):
     assert np.max(np.abs(factor.T @ factor.conj() - gram)) <= 1e-9 * np.max(np.abs(gram))
     reference = delay_signal(synth_two_tone(tones, duration, 4e9), delay).samples @ shifted
     assert np.max(np.abs(clean - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+WHOLE_CYCLE_TONES = {
+    "equal-100M": ToneSet.two_tone(1e8),
+    "equal-500M": ToneSet.two_tone(5e8),
+    "unequal": TONE_CASES["1us-unequal"][0],
+    "three-tone": ToneSet.from_pairs([(-2.5e8, 1.0), (0.5e8, 0.7, 1.0), (2.5e8, 0.5)]),
+}
+
+
+@pytest.fixture
+def fresh_setup():
+    """Clear the cached window set-up before and after the test, so that no
+    set-up made under a monkeypatch reaches another test."""
+    _window_setup.cache_clear()
+    yield
+    _window_setup.cache_clear()
+
+
+@pytest.mark.parametrize("tones", WHOLE_CYCLE_TONES.values(), ids=WHOLE_CYCLE_TONES.keys())
+def test_whole_cycle_setup_matches_fft_path(tones, monkeypatch, fresh_setup):
+    # a 1 us record at 4 GS/s holds whole cycles of every tone, so set-up
+    # reads the bins from the tones; the FFT of the synthesized record of the
+    # same scenario is the reference
+    sc = RangingScenario(tones, 5.0, 0.6e-9, False, 4e9, 1e-6, seed=21)
+    args = (tones, sc.duration, sc.sample_rate, sc.true_delay, sc.ambiguity_window())
+    assert _tone_bins(tones, 4000, 4e9) is not None
+
+    def setup_and_report():
+        _window_setup.cache_clear()
+        return _window_setup(*args), monte_carlo(sc, 2000)
+
+    (lags, clean, factor), report = setup_and_report()
+    monkeypatch.setattr(ranging, "_tone_bins", lambda *_: None)
+    (ref_lags, ref_clean, ref_factor), ref = setup_and_report()
+    assert_array_equal(lags, ref_lags)
+    assert factor.shape == ref_factor.shape == (len(tones.tones), len(lags))
+    assert np.max(np.abs(clean - ref_clean)) <= 1e-12 * np.max(np.abs(ref_clean))
+    assert np.max(np.abs(factor - ref_factor)) <= 1e-12 * np.max(np.abs(ref_factor))
+    assert report.failures == ref.failures
+    assert report.crlb_ratio == pytest.approx(ref.crlb_ratio, rel=1e-12, abs=0.0)
+
+
+def test_whole_cycle_setup_memory_does_not_grow_with_record(fresh_setup):
+    # a 1 ms record at 4 GS/s has n = 4,000,000 samples; its synthesized
+    # complex template alone would take 64 MB
+    args = (ToneSet.two_tone(5e8), 1e-3, 4e9, 0.6e-9, 2e-9)
+    assert traced_peak(lambda: _window_setup(*args)) < 1 << 20
+    for array in _window_setup(*args):
+        assert not array.flags.writeable
 
 
 def test_window_setup_reused_across_snr(tmp_path, capsys):
