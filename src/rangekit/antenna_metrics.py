@@ -148,27 +148,26 @@ def load_touchstone(path) -> SParamTrace:
     refuses is scanned, once, to name the line at fault: a ``#`` line, or a
     row that is not 3 values ``float()`` takes.
     """
-    with open(path) as fh:
-        lines = fh.readlines()
-    option, first_row = None, len(lines)
-    for i, raw in enumerate(lines):
-        line = raw.split("!", 1)[0].strip()
-        if line.startswith("#"):
-            if option is not None:
-                raise ValueError("multiple option lines")
-            option = _parse_option_line(line[1:].split())
-        elif line:
-            first_row = i
-            break
-    if first_row == len(lines):
-        raise ValueError("no data rows in Touchstone file")
-    try:
-        data = np.loadtxt(lines[first_row:], comments="!", ndmin=2)
-        if data.shape[1] != 3:
-            raise ValueError(f"{data.shape[1]} columns")
-    except ValueError as exc:
-        _raise_at_fault(lines[first_row:], option is not None)
-        raise ValueError(f"malformed data block: {exc}") from None
+    with open(path, encoding="utf-8-sig") as fh:
+        option = None
+        for first_row, raw in enumerate(fh):
+            line = raw.split("!", 1)[0].strip()
+            if line.startswith("#"):
+                if option is not None:
+                    raise ValueError("multiple option lines")
+                option = _parse_option_line(line[1:].split())
+            elif line:
+                break
+        else:
+            raise ValueError("no data rows in Touchstone file")
+        try:
+            data = np.loadtxt(path, skiprows=first_row, comments="!", ndmin=2, encoding="utf-8-sig")
+            if data.shape[1] != 3:
+                raise ValueError(f"{data.shape[1]} columns")
+        except ValueError as exc:
+            fh.seek(0)
+            _raise_at_fault(fh.readlines()[first_row:], option is not None)
+            raise ValueError(f"malformed data block: {exc}") from None
     unit, parameter, fmt, resistance = option or _parse_option_line(())
     with np.errstate(over="ignore"):  # SParamTrace rejects a frequency that overflows
         freq = data[:, 0] * _FREQ_UNITS[unit]

@@ -8,7 +8,9 @@ phase
 
 Fitting that model to a measured phase cut by linear least squares (after
 unwrapping) recovers the in-plane displacement.  The y-component is not
-observable from a single cut and is out of scope.
+observable from a single cut and is out of scope.  The fit solves for
+(phi0, k*x0, k*z0) on the basis [1, sin(theta), cos(theta)], then divides by
+k, so cuts on one theta grid share each window's SVD as right-hand sides.
 
 Displacement between two frequency bands is computed as a per-angle series:
 at each angle a small sliding window of the cut is fitted independently for
@@ -16,8 +18,8 @@ both bands and the fitted centers are differenced.  Statistics over that
 series summarize how far apart the bands' phase centers sit, usually quoted
 as a fraction of the wavelength at the coherent-action frequency.
 
-All windows of a cut are fitted as one batch, from one unwrap of the whole
-cut.  That unwrap gives each window the same phases as unwrapping the
+All windows of a grid are fitted as one batch, from one unwrap of each
+whole cut.  That unwrap gives each window the same phases as unwrapping the
 window alone, up to one constant: ``np.unwrap`` corrects each sample by a
 multiple of 2*pi chosen from its step to the previous sample only, so two
 unwraps of the same samples differ by the sum of the corrections made before
@@ -179,51 +181,64 @@ _WINDOW_PROBLEMS = (
 _BATCH_ROWS = 1 << 16
 
 
-def _fit_windows(cut: FarFieldCut, lo, hi):
-    """Phase-center fits of ``cut`` over the windows ``lo[i] <= theta <= hi[i]``.
+def _fit_windows(cuts, lo, hi):
+    """Phase-center fits of ``cuts``, which share one theta grid, over the
+    windows ``lo[i] <= theta <= hi[i]``.
 
-    Returns ``(coef, rms, problem)``: ``coef[i]`` is (phi0, x0, z0),
-    ``rms[i]`` the residual RMS in radians, and ``problem[i]`` 0 for a good
-    fit or the index into ``_WINDOW_PROBLEMS`` of the first check the
-    window fails.  A failed window's coef and rms are meaningless.
+    Returns ``(coef, rms, problem)``, indexed [cut, window]: coef is (phi0,
+    x0, z0), rms the residual RMS in radians, and problem 0 for a good fit or
+    the index into ``_WINDOW_PROBLEMS`` of the first check the window fails.
+    A failed window's coef and rms are meaningless.
 
-    Windows are solved as zero-padded batches of SVDs, each of at most
-    ``_BATCH_ROWS`` padded rows.  The rank check is lstsq's: singular values
-    above ``eps * max(m, 3) * s_max``, with m the window's own sample count.
+    Windows are solved as zero-padded batches of SVDs of ``[1, sin, cos]``,
+    each of at most ``_BATCH_ROWS`` padded rows.  The rank check is lstsq's,
+    singular values above ``eps * max(m, 3) * s_max`` with m the window's own
+    sample count, with the bound widened by ``max(k, 1/k)``.  Singular values
+    of ``[1, k sin, k cos]`` lie within that factor of these, so a window
+    lstsq finds rank-deficient on that design, as at a k too small to resolve
+    x0 and z0, fails here too.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    n = len(cut)
-    start = np.searchsorted(cut.theta_deg, lo, side="left")
-    count = np.searchsorted(cut.theta_deg, hi, side="right") - start
+    grid, n = cuts[0].theta_deg, len(cuts[0])
+    start = np.searchsorted(grid, lo, side="left")
+    count = np.searchsorted(grid, hi, side="right") - start
     offsets = np.arange(max(int(count.max()), 3))
 
-    theta = np.deg2rad(cut.theta_deg)
-    k = 2.0 * np.pi * cut.frequency_hz / SPEED_OF_LIGHT
-    if not np.isfinite(k):
-        raise ValueError(f"frequency {cut.frequency_hz:g} Hz is too large to form a wavenumber")
-    basis = np.column_stack([np.ones(n), k * np.sin(theta), k * np.cos(theta)])
-    wrapped = np.deg2rad(cut.phase_deg)
+    k = np.array([2.0 * np.pi * cut.frequency_hz / SPEED_OF_LIGHT for cut in cuts])
+    for cut, kc in zip(cuts, k):
+        if not np.isfinite(kc):
+            raise ValueError(f"frequency {cut.frequency_hz:g} Hz is too large to form a wavenumber")
+    theta = np.deg2rad(grid)
+    wrapped = np.deg2rad([cut.phase_deg for cut in cuts])
     unwrapped = np.unwrap(wrapped)
     # subtracted from a window's samples, restarts the unwrap at its first one
     # (see the module docstring)
-    restart = (unwrapped - wrapped)[np.minimum(start, n - 1)]
+    restart = (unwrapped - wrapped)[:, np.minimum(start, n - 1), None]
+    # the grid's samples and one zero sample, which a window's padding reads
+    basis = np.vstack([np.column_stack([np.ones(n), np.sin(theta), np.cos(theta)]), np.zeros(3)])
+    phases = np.hstack([unwrapped, np.zeros((len(cuts), 1))])
 
-    coef, rms, rank = np.empty((len(lo), 3)), np.empty(len(lo)), np.empty(len(lo), dtype=int)
+    coef, rms = np.empty((len(cuts), len(lo), 3)), np.empty((len(cuts), len(lo)))
+    rank = np.empty((len(cuts), len(lo)), dtype=int)
+    with np.errstate(divide="ignore", over="ignore"):  # a k near 0 fails every window
+        widen = np.maximum(k, 1.0 / k)[:, None, None]
     step = max(1, _BATCH_ROWS // len(offsets))
     for w in (slice(i, i + step) for i in range(0, len(lo), step)):
         inside = offsets < count[w, None]
-        idx = np.minimum(start[w, None] + offsets, n - 1)
-        design = np.where(inside[..., None], basis[idx], 0.0)
-        psi = np.where(inside, unwrapped[idx] - restart[w, None], 0.0)
+        idx = np.where(inside, start[w, None] + offsets, n)
+        design = np.take(basis, idx, axis=0)
+        psi = np.take(phases, idx, axis=1) - restart[:, w] * inside  # (cuts, windows, rows)
         u, sv, vt = np.linalg.svd(design, full_matrices=False)
-        kept = sv > (np.finfo(float).eps * np.maximum(count[w], 3) * sv[:, 0])[:, None]
-        proj = np.einsum("wmi,wm->wi", u, psi)
-        proj = np.divide(proj, sv, out=np.zeros_like(proj), where=kept)
-        coef[w] = np.einsum("wij,wi->wj", vt, proj)
-        resid = psi - np.einsum("wmj,wj->wm", design, coef[w])
-        rms[w] = np.sqrt(np.sum(resid**2, axis=1) / np.maximum(count[w], 1))
-        rank[w] = np.count_nonzero(kept, axis=1)
-    problem = np.select([~(hi > lo), count < 3, rank < 3], [1, 2, 3], 0)
+        bound = (np.finfo(float).eps * np.maximum(count[w], 3) * sv[:, 0])[:, None]
+        proj = psi[:, :, None, :] @ u
+        proj = np.divide(proj, sv[:, None], out=np.zeros_like(proj), where=(sv > bound)[:, None])
+        coef[:, w] = (proj @ vt)[:, :, 0]
+        resid = psi - (coef[:, w, None] @ np.swapaxes(design, 1, 2))[:, :, 0]
+        rms[:, w] = np.sqrt(np.einsum("cwm,cwm->cw", resid, resid) / np.maximum(count[w], 1))
+        rank[:, w] = np.count_nonzero(sv > bound * widen, axis=2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        coef[..., 1:] /= k[:, None, None]
+    problem = np.where(~(hi > lo), 1, np.where(count < 3, 2, np.where(rank < 3, 3, 0)))
     return coef, rms, problem
 
 
@@ -237,14 +252,14 @@ def fit_phase_center(cut: FarFieldCut, beam_region=DEFAULT_BEAM_REGION) -> Phase
     three parameters.
     """
     lo, hi = beam_region
-    coef, rms, problem = _fit_windows(cut, [lo], [hi])
-    if problem[0]:
-        raise ValueError(_WINDOW_PROBLEMS[problem[0]])
+    coef, rms, problem = _fit_windows([cut], [lo], [hi])
+    if problem[0, 0]:
+        raise ValueError(_WINDOW_PROBLEMS[problem[0, 0]])
     return PhaseCenterFit(
-        x0_m=float(coef[0, 1]),
-        z0_m=float(coef[0, 2]),
-        phi0_rad=float(coef[0, 0]),
-        rms_residual_rad=float(rms[0]),
+        x0_m=float(coef[0, 0, 1]),
+        z0_m=float(coef[0, 0, 2]),
+        phi0_rad=float(coef[0, 0, 0]),
+        rms_residual_rad=float(rms[0, 0]),
         beam_region_deg=(float(lo), float(hi)),
         frequency_hz=cut.frequency_hz,
     )
@@ -278,18 +293,19 @@ def displacement_series(
     if len(centers) == 0:
         raise ValueError("cuts have no overlapping angles inside the beam region")
     half = window_deg / 2.0
-    (coef_a, _, problem_a), (coef_b, _, problem_b) = (
-        _fit_windows(cut, centers - half, centers + half) for cut in (cut_a, cut_b)
-    )
-    failed = np.flatnonzero(problem_a | problem_b)
+    shared = np.array_equal(cut_a.theta_deg, cut_b.theta_deg)
+    groups = [[cut_a, cut_b]] if shared else [[cut_a], [cut_b]]
+    coef, _, problem = map(np.concatenate, zip(
+        *(_fit_windows(group, centers - half, centers + half) for group in groups)))
+    failed = np.flatnonzero(problem[0] | problem[1])
     if len(failed):
         i = failed[0]
-        problem = problem_a[i] or problem_b[i]
+        problem = problem[0, i] or problem[1, i]
         raise ValueError(
             f"window {window_deg:g} deg at theta {centers[i]:g} deg: "
             f"{_WINDOW_PROBLEMS[problem]}"
         )
-    diff = coef_a - coef_b
+    diff = coef[0] - coef[1]
     return DisplacementSeries(theta_deg=centers.copy(), dx0_m=diff[:, 1], dz0_m=diff[:, 2])
 
 

@@ -119,6 +119,32 @@ def test_load_blank_lines_comments_and_lower_case_options(tmp_path):
     assert_array_equal(trace.s11_db, expected)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "! exported sweep\r\n# MHZ S RI R 75\r\n100 0.5 0\r\n200 0.0 0.25\r\n",
+        "100 0.5 0\n200 0.25 0\n",  # the mark sits before the first data row
+        "# MHZ S DB R 50\n100 -3 0\n200 x 0\n",
+        "# MHZ S DB R 50\n100 -3 0\n200 1_0 0\n",
+    ],
+)
+def test_load_skips_utf8_byte_order_mark(tmp_path, text):
+    # many Windows exporters start a UTF-8 file with a byte-order mark
+    plain, marked = tmp_path / "plain.s1p", tmp_path / "marked.s1p"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    try:
+        want = load_touchstone(plain)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            load_touchstone(marked)
+        return
+    got = load_touchstone(marked)
+    assert got.source_format == want.source_format
+    assert got.frequency_hz.tobytes() == want.frequency_hz.tobytes()
+    assert got.s11_db.tobytes() == want.s11_db.tobytes()
+
+
 def test_touchstone_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     trace = SParamTrace(

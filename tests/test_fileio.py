@@ -190,6 +190,19 @@ def test_farfield_load_quoted_blank_and_crlf(tmp_path):
     assert_array_equal(b.theta_deg, [0.0, 1.0, 15.0])
 
 
+@pytest.mark.parametrize("magnitude", ["-1.5", "1_5"])  # 1_5: the csv module reads the rows
+def test_farfield_load_skips_utf8_byte_order_mark(tmp_path, magnitude):
+    # many Windows exporters start a UTF-8 file with a byte-order mark
+    text = f"{FARFIELD_HEADER}\r\n0,0,1e9,{magnitude},10\r\n1,0,1e9,-2.5,20\r\n2,0,1e9,-3.5,30\r\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    (want,), (got,) = load_farfield_cuts(plain), load_farfield_cuts(marked)
+    assert (got.phi_cut_deg, got.frequency_hz) == (want.phi_cut_deg, want.frequency_hz)
+    for name in ("theta_deg", "magnitude_db", "phase_deg"):
+        assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 @pytest.mark.parametrize(
     "writer, data, header, row",
     [
@@ -337,6 +350,13 @@ def test_scenario_without_sections_rejects_assembly():
     cfg = parse_scenario({"seed": 1})
     with pytest.raises(ValueError):
         cfg.ranging_scenario()
+
+
+def test_load_scenario_skips_utf8_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(json.dumps(SCENARIO_DOC))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_scenario(marked) == load_scenario(plain) == parse_scenario(SCENARIO_DOC)
 
 
 def test_load_scenario_bad_json(tmp_path):

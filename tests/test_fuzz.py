@@ -353,11 +353,8 @@ def read_or_error(read, path):
         return str(exc)
 
 
-@settings(max_examples=300, deadline=None)
-@given(text=touchstone_texts())
-def test_touchstone_reader_matches_reference(tmp_path_factory, text):
-    path = tmp_path_factory.getbasetemp() / "fuzz_reference.s1p"
-    path.write_bytes(text.encode())
+def assert_same_trace_or_error(path):
+    """load_touchstone and the reference give the same trace, or the same error text."""
     got, want = read_or_error(load_touchstone, path), read_or_error(reference_touchstone, path)
     if isinstance(want, str):
         assert got == want
@@ -366,6 +363,30 @@ def test_touchstone_reader_matches_reference(tmp_path_factory, text):
         assert got.source_format == want.source_format
         assert got.frequency_hz.tobytes() == want.frequency_hz.tobytes()
         assert got.s11_db.tobytes() == want.s11_db.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=touchstone_texts())
+@example("! c\r\n# HZ S DB R 50\r\n1 -3 0\r\n2 -4 0\r\n")  # CRLF line endings
+@example("# HZ S DB R 50\n! note\n\n  ! indented\n1 -3 0\n2 -4 0\n")  # lines before the data
+# float() takes 1_0 and np.loadtxt does not; the row number in the message
+# counts from the first data row, past the skipped comment and blank lines
+@example("! c\n# HZ S DB R 50\n\n! note\n1 -3 0\n2 1_0 0\n")
+def test_touchstone_reader_matches_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz_reference.s1p"
+    path.write_bytes(text.encode())
+    assert_same_trace_or_error(path)
+
+
+def test_touchstone_reader_matches_reference_on_a_long_sweep(tmp_path):
+    rng = np.random.default_rng(5)
+    freq = np.linspace(1e9, 11e9, 10001).tolist()
+    mag, angle = rng.uniform(0.01, 1.0, 10001).tolist(), rng.uniform(-180, 180, 10001).tolist()
+    path = tmp_path / "long.s1p"
+    path.write_text("! 10001-point sweep\n# HZ S MA R 50\n"
+                    + "".join(f"{f!r} {m!r} {a!r}\n" for f, m, a in zip(freq, mag, angle)))
+    assert len(load_touchstone(path).frequency_hz) == 10001
+    assert_same_trace_or_error(path)
 
 
 @settings(max_examples=300, deadline=None)

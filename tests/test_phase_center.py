@@ -164,16 +164,20 @@ def test_displacement_series_errors():
             displacement_series(cut_a, cut_d, window_deg=window_deg)
 
 
-def reference_fit(cut, lo, hi):
-    """One window fitted on its own: its own unwrap, then lstsq."""
+def reference_fit(cut, lo, hi, k_scaled=False):
+    """One window fitted on its own: its own unwrap, then lstsq on the design
+    [1, sin, cos] with x0 and z0 divided by k, or on [1, k sin, k cos]."""
     mask = (cut.theta_deg >= lo) & (cut.theta_deg <= hi)
     theta = np.deg2rad(cut.theta_deg[mask])
     psi = np.unwrap(np.deg2rad(cut.phase_deg[mask]))
     k = 2 * np.pi * cut.frequency_hz / SPEED_OF_LIGHT
-    design = np.column_stack([np.ones_like(theta), k * np.sin(theta), k * np.cos(theta)])
+    scale = k if k_scaled else 1.0
+    design = np.column_stack([np.ones_like(theta), scale * np.sin(theta), scale * np.cos(theta)])
     coef, _, rank, _ = np.linalg.lstsq(design, psi, rcond=None)
     assert rank == 3
     resid = psi - design @ coef
+    if not k_scaled:
+        coef[1:] /= k
     return coef, np.sqrt(np.mean(resid**2))
 
 
@@ -223,11 +227,60 @@ def test_displacement_series_matches_per_window_reference(
     # each window's own unwrap is restored, so phi0 and the residual match too
     half = window_deg / 2
     for cut in (cut_a, cut_b):
-        coef, rms, problem = phase_center._fit_windows(cut, centers - half, centers + half)
+        coef, rms, problem = phase_center._fit_windows([cut], centers - half, centers + half)
         ref_coef, ref_rms = zip(*(reference_fit(cut, c - half, c + half) for c in centers))
         assert not problem.any()
-        assert_allclose(coef, ref_coef, rtol=0, atol=1e-11)
-        assert_allclose(rms, ref_rms, rtol=1e-9)
+        assert_allclose(coef[0], ref_coef, rtol=0, atol=1e-11)
+        assert_allclose(rms[0], ref_rms, rtol=1e-9)
+
+
+def test_cuts_on_one_grid_match_their_own_references():
+    # three bands on one non-uniform grid share each window's factorisation,
+    # while each keeps its own k, unwrap restart and residual
+    rng = np.random.default_rng(8)
+    theta = jittered(np.arange(-40.0, 41.0), rng)
+    cuts = [
+        noisy_copy(point_source_cut(x0, z0, freq, theta, phi0_rad=phi0), 3.0, rng)
+        for x0, z0, freq, phi0 in [(-0.0007, 0.0141, 1.88e9, 0.0), (0.001, 0.006, 9.56e9, -1.0),
+                                   (0.03, 0.0192, 10.49e9, 2.0)]
+    ]
+    centers = theta[(theta >= -30.0) & (theta <= 30.0)]
+    half = 5.0
+    coef, rms, problem = phase_center._fit_windows(cuts, centers - half, centers + half)
+    assert coef.shape == (3, len(centers), 3) and rms.shape == problem.shape == (3, len(centers))
+    assert not problem.any()
+    for cut, cut_coef, cut_rms in zip(cuts, coef, rms):
+        ref_coef, ref_rms = zip(*(reference_fit(cut, c - half, c + half) for c in centers))
+        assert_allclose(cut_coef, ref_coef, rtol=0, atol=1e-11)
+        assert_allclose(cut_rms, ref_rms, rtol=1e-9)
+        # windows clear of the cut's ends are well conditioned, so lstsq on
+        # the k-scaled design [1, k sin, k cos] agrees as closely
+        k_coef = [reference_fit(cut, c - half, c + half, k_scaled=True)[0] for c in centers]
+        assert_allclose(cut_coef, k_coef, rtol=0, atol=1e-11)
+        assert_allclose(cut_coef[:, 1:], np.array(k_coef)[:, 1:], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch_rows", [None, 40])
+def test_one_svd_per_batch_for_cuts_on_one_grid(batch_rows, monkeypatch):
+    if batch_rows is not None:
+        monkeypatch.setattr(phase_center, "_BATCH_ROWS", batch_rows)
+    batches = []  # windows factorised by each SVD call
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        batches.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    cut_a = point_source_cut(0.001, 0.006, 9.56e9, THETAS)
+    series = displacement_series(cut_a, point_source_cut(0.0, 0.012, 1.88e9, THETAS))
+    shared = list(batches)
+    batches.clear()
+    other_grid = np.r_[-30.0, THETAS[1:-1] + 0.25, 30.0]
+    assert len(displacement_series(cut_a, point_source_cut(0.0, 0.012, 1.88e9, other_grid))) == len(series)
+    assert sum(shared) == len(series)  # every window factorised once
+    assert len(shared) == 1 if batch_rows is None else len(shared) > 1
+    assert batches == shared + shared  # one factorisation per cut
 
 
 def test_fit_matches_reference_when_phase_wraps_inside_region():
@@ -270,6 +323,11 @@ CLUSTER = [20.0, 20.0 + 1e-10, 20.0 + 2e-10]  # three samples no fit can separat
         # band B fails at 9 deg, before band A's cluster at 20 deg
         (np.r_[-30:18, CLUSTER, 23:31], np.r_[-30:9, 12:31],
          "window 4 deg at theta 9 deg: fewer than 3 samples"),
+        # both bands on one grid, fitted from one factorisation per window
+        (np.r_[-30:18, CLUSTER, 23:31], np.r_[-30:18, CLUSTER, 23:31],
+         "window 4 deg at theta 20 deg: rank-deficient fit"),
+        (np.r_[-30:9, 11, 14:18, CLUSTER, 23:31], np.r_[-30:9, 11, 14:18, CLUSTER, 23:31],
+         "window 4 deg at theta 11 deg: fewer than 3 samples"),
     ],
 )
 def test_window_errors_name_first_failing_center(theta_a, theta_b, message):
@@ -280,6 +338,16 @@ def test_window_errors_name_first_failing_center(theta_a, theta_b, message):
 def test_fit_rank_deficient_region():
     with pytest.raises(ValueError, match="rank-deficient"):
         fit_phase_center(cut_on(np.r_[-30:18, CLUSTER, 23:31]), beam_region=(19.0, 21.0))
+
+
+@pytest.mark.parametrize("freq", [1e-30, 1e-310, 5e-324, 1e300])
+def test_wavenumber_too_small_or_large_to_resolve_the_center(freq):
+    # lstsq finds the k-scaled design [1, k sin, k cos] rank-deficient here,
+    # so the k-free fit must not turn rounding noise into a center divided by k
+    with pytest.raises(ValueError, match="rank-deficient"):
+        fit_phase_center(cut_on(THETAS, freq))
+    with pytest.raises(ValueError, match="theta -30 deg: rank-deficient"):
+        displacement_series(cut_on(THETAS, freq), cut_on(THETAS, 1.88e9))
 
 
 def test_displacement_stats_brute_force():
