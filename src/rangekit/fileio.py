@@ -52,11 +52,13 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path, header: str, columns) -> None:
-    """Write ``header`` and one line per row of ``columns``, each all ints or all floats:
-    as Python scalars (``tolist()``), an int's repr is str and a float's fmt_float."""
-    rows = zip(*(np.asarray(column).tolist() for column in columns))
-    Path(path).write_text("".join([header, "\n", *(",".join(map(repr, row)) + "\n" for row in rows)]))
+def _write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and one line per row; ints via str, floats via fmt_float."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            cells = (str(v) if isinstance(v, (int, np.integer)) else fmt_float(v) for v in row)
+            fh.write(",".join(cells) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +72,12 @@ def save_farfield_cuts(cuts, path) -> None:
         cuts = [cuts]
     if len(cuts) == 0:
         raise ValueError("no cuts to write")
-    rows = np.concatenate([np.column_stack(np.broadcast_arrays(
-        cut.theta_deg, cut.phi_cut_deg, cut.frequency_hz, cut.magnitude_db, cut.phase_deg))
-        for cut in cuts])
-    _write_csv(path, FARFIELD_HEADER, rows.T)
+    rows = (
+        (theta, cut.phi_cut_deg, cut.frequency_hz, mag, phase)
+        for cut in cuts
+        for theta, mag, phase in zip(cut.theta_deg, cut.magnitude_db, cut.phase_deg)
+    )
+    _write_csv(path, FARFIELD_HEADER, rows)
 
 
 def _data_rows(fh) -> list:
@@ -149,34 +153,36 @@ def load_farfield_cuts(path) -> list:
 
 
 def write_spectrum_csv(spec: SpectrumModel, path) -> None:
-    _write_csv(path, SPECTRUM_HEADER, (spec.frequencies, spec.energy_density))
+    _write_csv(path, SPECTRUM_HEADER, zip(spec.frequencies, spec.energy_density))
 
 
 def write_displacement_csv(series: DisplacementSeries, path) -> None:
     if len(series) == 0:
         raise ValueError("empty displacement series")
-    _write_csv(path, DISPLACEMENT_HEADER, (series.theta_deg, series.dx0_m, series.dz0_m))
+    _write_csv(path, DISPLACEMENT_HEADER, zip(series.theta_deg, series.dx0_m, series.dz0_m))
 
 
 def write_bands_csv(bands, path) -> None:
     """Write one row per band; a sweep with no band gives the header alone."""
-    rows = [(b.f_resonance_hz, b.s11_min_db, b.f_low_hz, b.f_high_hz, b.fractional_bw)
-            for b in bands]
-    _write_csv(path, BANDS_HEADER, zip(*rows))
+    _write_csv(
+        path,
+        BANDS_HEADER,
+        ((b.f_resonance_hz, b.s11_min_db, b.f_low_hz, b.f_high_hz, b.fractional_bw) for b in bands),
+    )
 
 
 def write_sweep_csv(rows, path) -> None:
     """Write accuracy-surface rows, one tuple per grid cell in the columns of SWEEP_HEADER."""
     if len(rows) == 0:
         raise ValueError("empty sweep")
-    _write_csv(path, SWEEP_HEADER, zip(*rows))
+    _write_csv(path, SWEEP_HEADER, rows)
 
 
 def write_coherence_grid_csv(rows, path) -> None:
     """Write ``(sigma_range_m, sigma_phi_rad, CoherentGainReport)`` grid rows."""
     if len(rows) == 0:
         raise ValueError("empty coherence grid")
-    _write_csv(path, COHERENCE_GRID_HEADER, zip(*((sig, phi, *astuple(r)) for sig, phi, r in rows)))
+    _write_csv(path, COHERENCE_GRID_HEADER, ((sig, phi, *astuple(r)) for sig, phi, r in rows))
 
 
 # ---------------------------------------------------------------------------

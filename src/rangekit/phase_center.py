@@ -9,8 +9,11 @@ phase
 Fitting that model to a measured phase cut by linear least squares (after
 unwrapping) recovers the in-plane displacement.  The y-component is not
 observable from a single cut and is out of scope.  The fit solves for
-(phi0, k*x0, k*z0) on the basis [1, sin(theta), cos(theta)], then divides by
-k, so cuts on one theta grid share each window's SVD as right-hand sides.
+(phi0, k*x0, k*z0) on the wavenumber-free basis [1, sin(theta), cos(theta)],
+then divides by k, so cuts on one theta grid share each window's SVD as
+right-hand sides.  Each window's sin and cos samples enter as differences
+from its first sample: over a few degrees cos(theta) barely changes, and
+without the differences its column is nearly the constant one.
 
 Displacement between two frequency bands is computed as a per-angle series:
 at each angle a small sliding window of the cut is fitted independently for
@@ -190,13 +193,16 @@ def _fit_windows(cuts, lo, hi):
     the index into ``_WINDOW_PROBLEMS`` of the first check the window fails.
     A failed window's coef and rms are meaningless.
 
-    Windows are solved as zero-padded batches of SVDs of ``[1, sin, cos]``,
-    each of at most ``_BATCH_ROWS`` padded rows.  The rank check is lstsq's,
-    singular values above ``eps * max(m, 3) * s_max`` with m the window's own
-    sample count, with the bound widened by ``max(k, 1/k)``.  Singular values
-    of ``[1, k sin, k cos]`` lie within that factor of these, so a window
-    lstsq finds rank-deficient on that design, as at a k too small to resolve
-    x0 and z0, fails here too.
+    Windows are solved as zero-padded batches of SVDs, each of at most
+    ``_BATCH_ROWS`` padded rows, of ``[1, sin - sin_r, cos - cos_r]`` with r
+    the window's first sample.  The rank check is lstsq's, singular values
+    above ``eps * max(m, 3) * s_max`` with m the window's own sample count,
+    with the bound widened by ``3 * max(k, 1/k)``.  The ratios s_min/s_max of
+    this design and of the model's own ``[1, k sin, k cos]`` differ by less
+    than that factor either way, so every window lstsq finds rank-deficient
+    on that design, as at a k too small to resolve x0 and z0, fails here
+    too.  The check is the stricter one: a window whose s_min/s_max on that
+    design lies below ``8 * max(k, 1/k)**2 * eps * max(m, 3)`` can fail here.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     grid, n = cuts[0].theta_deg, len(cuts[0])
@@ -217,25 +223,27 @@ def _fit_windows(cuts, lo, hi):
     # the grid's samples and one zero sample, which a window's padding reads
     basis = np.vstack([np.column_stack([np.ones(n), np.sin(theta), np.cos(theta)]), np.zeros(3)])
     phases = np.hstack([unwrapped, np.zeros((len(cuts), 1))])
+    first = basis[np.minimum(start, n - 1)] * [0.0, 1.0, 1.0]  # (0, sin_r, cos_r)
 
     coef, rms = np.empty((len(cuts), len(lo), 3)), np.empty((len(cuts), len(lo)))
     rank = np.empty((len(cuts), len(lo)), dtype=int)
     with np.errstate(divide="ignore", over="ignore"):  # a k near 0 fails every window
-        widen = np.maximum(k, 1.0 / k)[:, None, None]
+        widen = 3.0 * np.maximum(k, 1.0 / k)[:, None, None]
     step = max(1, _BATCH_ROWS // len(offsets))
     for w in (slice(i, i + step) for i in range(0, len(lo), step)):
         inside = offsets < count[w, None]
         idx = np.where(inside, start[w, None] + offsets, n)
-        design = np.take(basis, idx, axis=0)
+        design = np.take(basis, idx, axis=0) - first[w, None] * inside[..., None]
         psi = np.take(phases, idx, axis=1) - restart[:, w] * inside  # (cuts, windows, rows)
         u, sv, vt = np.linalg.svd(design, full_matrices=False)
-        bound = (np.finfo(float).eps * np.maximum(count[w], 3) * sv[:, 0])[:, None]
+        kept = sv > (np.finfo(float).eps * np.maximum(count[w], 3) * sv[:, 0])[:, None] * widen
         proj = psi[:, :, None, :] @ u
-        proj = np.divide(proj, sv[:, None], out=np.zeros_like(proj), where=(sv > bound)[:, None])
+        proj = np.divide(proj, sv[:, None], out=np.zeros_like(proj), where=kept[:, :, None])
         coef[:, w] = (proj @ vt)[:, :, 0]
         resid = psi - (coef[:, w, None] @ np.swapaxes(design, 1, 2))[:, :, 0]
         rms[:, w] = np.sqrt(np.einsum("cwm,cwm->cw", resid, resid) / np.maximum(count[w], 1))
-        rank[:, w] = np.count_nonzero(sv > bound * widen, axis=2)
+        rank[:, w] = np.count_nonzero(kept, axis=2)
+    coef[..., 0] -= np.einsum("wj,cwj->cw", first, coef)  # phi0 on [1, sin, cos]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         coef[..., 1:] /= k[:, None, None]
     problem = np.where(~(hi > lo), 1, np.where(count < 3, 2, np.where(rank < 3, 3, 0)))
