@@ -7,9 +7,8 @@ relative ``--out`` lands in the scenario's ``output_dir`` (the working
 directory without a scenario), and every file-writing run drops
 ``<out>.manifest.json`` beside it recording the tool version, the digests
 of the ``--scenario``/``--in``/``--cut`` files, the fully resolved
-parameters and every file written.  Outputs for a fixed scenario and seed
-are bit-identical for any worker count on one host and numpy build, except
-the manifest timestamp; across numpy's SIMD targets their last digits vary.
+parameters and every file written.  Outputs bar the manifest timestamp are
+bit-identical for any worker count on one host, numpy build and SIMD target.
 """
 
 from __future__ import annotations

@@ -8,12 +8,8 @@ phase
 
 Fitting that model to a measured phase cut by linear least squares (after
 unwrapping) recovers the in-plane displacement.  The y-component is not
-observable from a single cut and is out of scope.  The fit solves for
-(phi0, k*x0, k*z0) on the wavenumber-free basis [1, sin(theta), cos(theta)],
-then divides by k, so cuts on one theta grid share each window's SVD as
-right-hand sides.  Each window's sin and cos samples enter as differences
-from its first sample: over a few degrees cos(theta) barely changes, and
-without the differences its column is nearly the constant one.
+observable from a single cut and is out of scope.  Fits on one theta grid
+share each window's SVD of the k-free basis [1, sin, cos], then divide by k.
 
 Displacement between two frequency bands is computed as a per-angle series:
 at each angle a small sliding window of the cut is fitted independently for
@@ -185,24 +181,19 @@ _BATCH_ROWS = 1 << 16
 
 
 def _fit_windows(cuts, lo, hi):
-    """Phase-center fits of ``cuts``, which share one theta grid, over the
-    windows ``lo[i] <= theta <= hi[i]``.
+    """Fits of ``cuts``, on one theta grid, over the windows ``lo[i] <= theta <= hi[i]``.
 
     Returns ``(coef, rms, problem)``, indexed [cut, window]: coef is (phi0,
     x0, z0), rms the residual RMS in radians, and problem 0 for a good fit or
     the index into ``_WINDOW_PROBLEMS`` of the first check the window fails.
     A failed window's coef and rms are meaningless.
 
-    Windows are solved as zero-padded batches of SVDs, each of at most
-    ``_BATCH_ROWS`` padded rows, of ``[1, sin - sin_r, cos - cos_r]`` with r
-    the window's first sample.  The rank check is lstsq's, singular values
-    above ``eps * max(m, 3) * s_max`` with m the window's own sample count,
-    with the bound widened by ``3 * max(k, 1/k)``.  The ratios s_min/s_max of
-    this design and of the model's own ``[1, k sin, k cos]`` differ by less
-    than that factor either way, so every window lstsq finds rank-deficient
-    on that design, as at a k too small to resolve x0 and z0, fails here
-    too.  The check is the stricter one: a window whose s_min/s_max on that
-    design lies below ``8 * max(k, 1/k)**2 * eps * max(m, 3)`` can fail here.
+    Windows are solved in zero-padded batches of at most ``_BATCH_ROWS`` rows,
+    one SVD each, of ``[1, sin - sin_r, cos - cos_r]``, r the window's first
+    sample (cos alone barely changes over a window).  The rank check is
+    lstsq's bound ``eps * max(m, 3) * s_max``, m the window's sample count,
+    widened by ``3 * max(k, 1/k)``: it rejects every window lstsq rejects on
+    ``[1, k sin, k cos]``, and some up to ``8 * max(k, 1/k)**2`` times above.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     grid, n = cuts[0].theta_deg, len(cuts[0])
@@ -220,21 +211,18 @@ def _fit_windows(cuts, lo, hi):
     # subtracted from a window's samples, restarts the unwrap at its first one
     # (see the module docstring)
     restart = (unwrapped - wrapped)[:, np.minimum(start, n - 1), None]
-    # the grid's samples and one zero sample, which a window's padding reads
-    basis = np.vstack([np.column_stack([np.ones(n), np.sin(theta), np.cos(theta)]), np.zeros(3)])
-    phases = np.hstack([unwrapped, np.zeros((len(cuts), 1))])
+    basis = np.column_stack([np.ones(n), np.sin(theta), np.cos(theta)])
     first = basis[np.minimum(start, n - 1)] * [0.0, 1.0, 1.0]  # (0, sin_r, cos_r)
 
-    coef, rms = np.empty((len(cuts), len(lo), 3)), np.empty((len(cuts), len(lo)))
-    rank = np.empty((len(cuts), len(lo)), dtype=int)
+    coef, rms, rank = (np.empty((len(cuts), len(lo), *shape)) for shape in ((3,), (), ()))
     with np.errstate(divide="ignore", over="ignore"):  # a k near 0 fails every window
         widen = 3.0 * np.maximum(k, 1.0 / k)[:, None, None]
     step = max(1, _BATCH_ROWS // len(offsets))
     for w in (slice(i, i + step) for i in range(0, len(lo), step)):
         inside = offsets < count[w, None]
-        idx = np.where(inside, start[w, None] + offsets, n)
-        design = np.take(basis, idx, axis=0) - first[w, None] * inside[..., None]
-        psi = np.take(phases, idx, axis=1) - restart[:, w] * inside  # (cuts, windows, rows)
+        idx = start[w, None] + offsets
+        design = (np.take(basis, idx, axis=0, mode="clip") - first[w, None]) * inside[..., None]
+        psi = (np.take(unwrapped, idx, axis=1, mode="clip") - restart[:, w]) * inside
         u, sv, vt = np.linalg.svd(design, full_matrices=False)
         kept = sv > (np.finfo(float).eps * np.maximum(count[w], 3) * sv[:, 0])[:, None] * widen
         proj = psi[:, :, None, :] @ u
@@ -244,8 +232,7 @@ def _fit_windows(cuts, lo, hi):
         rms[:, w] = np.sqrt(np.einsum("cwm,cwm->cw", resid, resid) / np.maximum(count[w], 1))
         rank[:, w] = np.count_nonzero(kept, axis=2)
     coef[..., 0] -= np.einsum("wj,cwj->cw", first, coef)  # phi0 on [1, sin, cos]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        coef[..., 1:] /= k[:, None, None]
+    np.divide(coef[..., 1:], k[:, None, None], out=coef[..., 1:], where=(rank == 3)[..., None])
     problem = np.where(~(hi > lo), 1, np.where(count < 3, 2, np.where(rank < 3, 3, 0)))
     return coef, rms, problem
 
