@@ -95,6 +95,9 @@ def _parse_option_line(tokens) -> tuple[str, str, str, float]:
                 resistance = float(next(it))
             except (StopIteration, ValueError):
                 raise ValueError("malformed option line: R must be followed by a resistance")
+            if not 0.0 < resistance < np.inf:
+                raise ValueError(f"malformed option line: resistance must be positive and finite, "
+                                 f"got {resistance:g}")
         else:
             raise ValueError(f"malformed option line: unknown token {tok!r}")
     if parameter != "S":

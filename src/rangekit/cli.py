@@ -38,7 +38,6 @@ from .ranging import (
 from .waveform import (
     ToneSet,
     mean_squared_bandwidth,
-    rect_rms_bandwidth,
     spectrum_of,
     synth_two_tone,
 )
@@ -186,6 +185,9 @@ def _cmd_waveform(args) -> int:
     zeta_analytic = mean_squared_bandwidth(tones)
     zeta_discrete = mean_squared_bandwidth(spectrum)
     sep = tones.separation
+    ratio = None
+    if sep > 0:  # zeta_analytic / rect_rms_bandwidth(sep), without the (2 pi sep)^2 that underflows
+        ratio = 12.0 * float(np.sum(tones.energy_weights() * (tones.frequencies / sep) ** 2))
     doc = {
         "tone_frequencies_hz": [float(f) for f in tones.frequencies],
         "duration_s": float(wf.duration_s),
@@ -193,7 +195,7 @@ def _cmd_waveform(args) -> int:
         "samples": len(signal),
         "zeta_f2_analytic_rad2_s2": zeta_analytic,
         "zeta_f2_discrete_rad2_s2": zeta_discrete,
-        "ratio_vs_flat_spectrum": (zeta_analytic / rect_rms_bandwidth(sep)) if sep > 0 else None,
+        "ratio_vs_flat_spectrum": ratio,
     }
     return _finish(args, doc, doc, lambda out: fileio.write_spectrum_csv(spectrum, out),
                    output_dir=config.output_dir)

@@ -31,8 +31,7 @@ number of frequency bins the template occupies (2 for a two-tone record of
 whole cycles).  For a record holding whole cycles of every tone its set-up
 costs O(r*L) and does not depend on the record length either, because the
 occupied bins and their powers follow from the tones; any other record is
-synthesized and transformed once, with a QR when r > L.  The set-up is
-reused while the waveform and the true delay stay the same.  Scenarios that
+synthesized and transformed once, with a QR when r > L.  Scenarios that
 differ only in SNR, as down a sweep's SNR column, share their noise stream:
 :func:`monte_carlo_column` draws each block's normals once and scales them
 by every SNR in turn, giving the reports of separate :func:`monte_carlo`
@@ -41,7 +40,6 @@ calls bit for bit.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,7 +221,6 @@ def _tone_bins(tones: ToneSet, n: int, sample_rate: float):
     return bins, sample_rate * tones.energy_weights()[order]
 
 
-@functools.lru_cache(maxsize=1)
 def _window_setup(tones: ToneSet, duration: float, sample_rate: float, true_delay: float,
                   window: float):
     """Lags, clean correlation and unit noise factor of the Monte Carlo over
@@ -246,10 +243,6 @@ def _window_setup(tones: ToneSet, duration: float, sample_rate: float, true_dela
       template, and ``z @ unit_factor`` for r standard complex normals is
       that noise, exactly.  More than L rows are reduced to L by a QR of
       O(r*L^2), which leaves ``G`` unchanged.
-
-    Neither depends on the SNR, so the last result is cached: the SNR column
-    of a sweep, or repeated runs of one scenario, set up once.  The returned
-    arrays are read-only.
     """
     n = record_length(tones, duration, sample_rate)
     lags = _search_lags(sample_rate, (0.0, window))
@@ -267,8 +260,6 @@ def _window_setup(tones: ToneSet, duration: float, sample_rate: float, true_dela
     unit_factor = np.sqrt(power)[:, np.newaxis] * phasors
     if len(bins) > len(lags):
         unit_factor = np.linalg.qr(unit_factor, mode="r")
-    for array in (lags, clean, unit_factor):
-        array.flags.writeable = False
     return lags, clean, unit_factor
 
 

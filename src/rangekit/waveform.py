@@ -216,6 +216,10 @@ def spectrum_of(signal: SampledSignal) -> SpectrumModel:
     energy = signal.energy
     if energy == 0.0:
         raise ValueError("cannot normalize the spectrum of an all-zero signal")
+    limit = np.sqrt(np.finfo(float).max)  # the density divides by sample_rate**2
+    if signal.sample_rate > limit:
+        raise ValueError(f"spectrum needs a sample rate of at most {limit:.6g} Hz, "
+                         f"got {signal.sample_rate:g}")
     spec = np.fft.fftshift(np.fft.fft(signal.samples))
     freqs = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / signal.sample_rate))
     density = np.abs(spec) ** 2 / (signal.sample_rate**2 * energy)

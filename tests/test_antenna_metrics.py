@@ -65,6 +65,10 @@ def test_load_errors(tmp_path):
         ("# GHZ S XX R 50\n1 0.5 0\n2 0.5 0\n", "malformed option line: unknown token 'XX'"),
         ("# GHZ S DB R\n1 -3 0\n2 -3 0\n",
          "malformed option line: R must be followed by a resistance"),
+        *((f"# HZ S DB R {r}\n1 -3 0\n2 -3 0\n",
+           f"malformed option line: resistance must be positive and finite, got {shown}")
+          for r, shown in [("nan", "nan"), ("inf", "inf"), ("1e999", "inf"), ("0", "0"),
+                           ("-50", "-50")]),
         ("# GHZ Y DB R 50\n1 -3 0\n2 -3 0\n", "only S-parameter files are supported, got Y"),
         ("# GHZ S DB R 50\n# HZ S DB R 50\n1 -3 0\n2 -3 0\n", "multiple option lines"),
         ("# GHZ S DB R 50\n1 -3 0\n2 -3 0\n# HZ S DB R 50\n", "multiple option lines"),

@@ -372,6 +372,7 @@ def assert_same_trace_or_error(path):
 # float() takes 1_0 and np.loadtxt does not; the row number in the message
 # counts from the first data row, past the skipped comment and blank lines
 @example("! c\n# HZ S DB R 50\n\n! note\n1 -3 0\n2 1_0 0\n")
+@example("# HZ S DB R nan\n1 -3 0\n2 -4 0\n")  # a resistance that is not positive and finite
 def test_touchstone_reader_matches_reference(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz_reference.s1p"
     path.write_bytes(text.encode())
@@ -474,6 +475,10 @@ def scenario_docs(draw):
          command="coherence")  # sigma_phi**2 overflows
 @example(doc={"beamform": {"n_nodes": 2, "f_action_hz": 2**64, "sigma_range_m": 1e300}},
          command="coherence")  # sigma_phi overflows
+@example(doc={"waveform": {"duration_s": 1e-6, "sample_rate_hz": 4e9, "separation_hz": 1e-300}},
+         command="waveform")  # the flat-spectrum bandwidth underflows to 0
+@example(doc={"waveform": {"duration_s": 1e-150, "sample_rate_hz": 1e155, "separation_hz": 1e9}},
+         command="waveform")  # sample_rate**2 overflows
 def test_scenario_through_cli_exits_cleanly(tmp_path_factory, doc, command):
     path = tmp_path_factory.getbasetemp() / "fuzz_scenario.json"
     path.write_text(json.dumps(doc))

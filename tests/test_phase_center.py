@@ -76,6 +76,20 @@ def test_noisy_recovery_averaged():
     assert abs(np.mean([f.z0_m for f in fits]) - truth[1]) < 1.2e-3
 
 
+def test_phase_noise_error_scales_with_wavelength():
+    # the fit is linear in the phase and divides its position terms by k, so
+    # one noise draw moves the fitted centre by an error proportional to 1/f:
+    # lower frequencies lever the same phase noise into more millimetres
+    errors = {}
+    for freq in (1.88e9, 9.56e9, 10.49e9):
+        noisy = noisy_copy(point_source_cut(0.002, 0.0141, freq, THETAS), 5.0,
+                           np.random.default_rng(0))
+        fit = fit_phase_center(noisy)
+        errors[freq] = np.array([fit.x0_m - 0.002, fit.z0_m - 0.0141]) * freq
+    assert_allclose(errors[9.56e9], errors[1.88e9], rtol=1e-6)
+    assert_allclose(errors[10.49e9], errors[1.88e9], rtol=1e-6)
+
+
 def test_translation_equivariance():
     freq = 9.56e9
     cut = point_source_cut(0.001, 0.004, freq, THETAS, wrap=False)
