@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
-import json
 import os
 import re
 import sys
@@ -38,6 +37,7 @@ from .ranging import (
 from .waveform import (
     ToneSet,
     mean_squared_bandwidth,
+    record_length,
     spectrum_of,
     synth_two_tone,
 )
@@ -143,9 +143,12 @@ def _finish(args, params=None, doc=None, write=None, status=None, output_dir="."
 
     ``write(path)`` writes the primary file, the JSON ``doc`` without one,
     and returns any other paths it wrote.  Unless ``--quiet``, stdout gets
-    the line ``status(path)``, or else ``doc`` as JSON.
+    the line ``status(path)``, or else ``doc`` as JSON.  A ``doc`` that JSON
+    cannot hold raises before any file opens: it is encoded here when it is
+    to be printed, and otherwise by the JSON file that ``write`` writes first.
     """
     out = _out_path(args, output_dir)
+    text = fileio.json_text(doc) if status is None and not args.quiet else None
     if out is not None:
         extra = fileio.dump_json(doc, out) if write is None else write(out)
         named = [getattr(args, name, None) for name in ("scenario", "infile", "cut")]
@@ -153,7 +156,7 @@ def _finish(args, params=None, doc=None, write=None, status=None, output_dir="."
         fileio.write_manifest(out, args.argv, params, inputs, extra_outputs=extra or ())
     if not args.quiet:
         try:
-            print(json.dumps(doc, indent=2, allow_nan=False) if status is None else status(out))
+            print(text if status is None else status(out))
             sys.stdout.flush()
         except BrokenPipeError:  # the reader closed stdout: a quiet end of output
             devnull = os.open(os.devnull, os.O_WRONLY)  # the exit flush goes here, not to the pipe
@@ -180,11 +183,15 @@ def _cmd_waveform(args) -> int:
             "(or a --scenario with a waveform section)"
         )
     tones = wf.tone_set()
+    record_length(tones, wf.duration_s, wf.sample_rate_hz)  # its errors come first
+    sep = tones.separation
+    if sep > 0 and sep * wf.duration_s < 1.0:
+        raise ValueError(f"tone separation {sep:g} Hz is below the {1.0 / wf.duration_s:g} Hz "
+                         f"resolution of a {wf.duration_s:g} s record")
     signal = synth_two_tone(tones, wf.duration_s, wf.sample_rate_hz)
     spectrum = spectrum_of(signal)
     zeta_analytic = mean_squared_bandwidth(tones)
     zeta_discrete = mean_squared_bandwidth(spectrum)
-    sep = tones.separation
     ratio = None
     if sep > 0:  # zeta_analytic / rect_rms_bandwidth(sep), without the (2 pi sep)^2 that underflows
         ratio = 12.0 * float(np.sum(tones.energy_weights() * (tones.frequencies / sep) ** 2))
@@ -201,6 +208,11 @@ def _cmd_waveform(args) -> int:
                    output_dir=config.output_dir)
 
 
+def _rmse_range(report, two_way: bool) -> float | None:
+    """The Monte Carlo rmse in meters, None where ``rmse_tau`` is."""
+    return None if report.rmse_tau is None else delay_to_range(report.rmse_tau, two_way)
+
+
 def _cmd_range_sim(args) -> int:
     config = fileio.load_scenario(args.scenario)
     scenario = config.ranging_scenario(seed=args.seed)
@@ -208,7 +220,6 @@ def _cmd_range_sim(args) -> int:
     _out_path(args, config.output_dir)
     report = monte_carlo(scenario, trials, workers=args.workers)
     bound = crlb_result(scenario.zeta_f2(), scenario.snr_db, scenario.two_way)
-    mc_rmse_range_m = delay_to_range(report.rmse_tau, scenario.two_way)
     doc = {
         "scenario": {
             "tone_frequencies_hz": [float(f) for f in scenario.tones.frequencies],
@@ -221,9 +232,9 @@ def _cmd_range_sim(args) -> int:
             "trials": trials,
             "workers": args.workers,
         },
-        "crlb": fileio.report_dict(bound),
-        "monte_carlo": fileio.report_dict(report),
-        "mc_rmse_range_m": fileio.finite_or_none(mc_rmse_range_m),
+        "crlb": asdict(bound),
+        "monte_carlo": asdict(report),
+        "mc_rmse_range_m": _rmse_range(report, scenario.two_way),
     }
     return _finish(args, doc["scenario"], doc, output_dir=config.output_dir)
 
@@ -249,13 +260,13 @@ def _cmd_phase_center(args) -> int:
         "window_deg": args.window,
         "beam_region_deg": list(beam),
         "angles": len(series),
-        "stats": fileio.report_dict(stats),
+        "stats": asdict(stats),
     }
 
     def write(out):
-        fileio.write_displacement_csv(series, out)
         stats_path = out.with_suffix(".stats.json")
         fileio.dump_json(doc, stats_path)
+        fileio.write_displacement_csv(series, out)
         return [stats_path]
 
     params = {k: doc[k] for k in ("frequency_a_hz", "frequency_b_hz", "window_deg", "beam_region_deg")}
@@ -267,7 +278,7 @@ def _cmd_s11_bands(args) -> int:
     bands = find_bands(trace, threshold_db=args.threshold)
     doc = {
         "threshold_db": args.threshold,
-        "bands": [fileio.report_dict(b) for b in bands],
+        "bands": [asdict(b) for b in bands],
     }
     csv = args.out is not None and Path(args.out).suffix.lower() == ".csv"
     write = (lambda out: fileio.write_bands_csv(bands, out)) if csv else None
@@ -281,7 +292,7 @@ def _cmd_gain_stats(args) -> int:
     doc = {
         "region_deg": list(region),
         "mean_domain": "linear" if args.linear_mean else "db",
-        "stats": [fileio.report_dict(s) for s in stats],
+        "stats": [asdict(s) for s in stats],
     }
     return _finish(args, {"region_deg": list(region)}, doc)
 
@@ -296,14 +307,13 @@ def _cmd_coherence(args) -> int:
         )
     seed = config.seed if args.seed is None else args.seed
 
-    def report_for(sig):
-        """(sigma_phi, report) for a per-node ranging std ``sig``."""
+    def scenario_for(sig):
+        """The scenario of a per-node ranging std ``sig``."""
         if args.two_way:  # a retrodirective link doubles the phase error per meter
             sig = 2.0 * sig
             if not np.isfinite(sig):
                 raise ValueError("the two-way range error 2*sigma_range_m overflows")
-        scenario = beamform.CoherenceScenario(**asdict(replace(bf, sigma_range_m=sig)), seed=seed)
-        return scenario.sigma_phi(), beamform.coherent_gain(scenario, workers=args.workers)
+        return beamform.CoherenceScenario(**asdict(replace(bf, sigma_range_m=sig)), seed=seed)
 
     params = {
         "n_nodes": bf.n_nodes,
@@ -316,14 +326,18 @@ def _cmd_coherence(args) -> int:
     if args.sigma_grid is not None:
         if _out_path(args, config.output_dir) is None:  # checked before any point runs
             raise ValueError("--sigma-grid needs --out for the CSV")
-        # Python floats, so an overflowing point raises its message without a numpy warning
-        rows = [(sig, *report_for(sig)) for sig in parse_grid(args.sigma_grid).tolist()]
+        # every point is checked before the first one runs; Python floats, so an
+        # overflowing point raises its message without a numpy warning
+        points = [(sig, scenario_for(sig)) for sig in parse_grid(args.sigma_grid).tolist()]
+        rows = [(sig, sc.sigma_phi(), beamform.coherent_gain(sc, workers=args.workers))
+                for sig, sc in points]
         params["sigma_grid"] = args.sigma_grid
         return _finish(args, params, write=lambda out: fileio.write_coherence_grid_csv(rows, out),
                        status=lambda out: f"wrote {len(rows)} grid points to {out}",
                        output_dir=config.output_dir)
-    sigma_phi, rep = report_for(bf.sigma_range_m)
-    doc = dict(params, sigma_phi_rad=sigma_phi, report=fileio.report_dict(rep))
+    scenario = scenario_for(bf.sigma_range_m)
+    report = beamform.coherent_gain(scenario, workers=args.workers)
+    doc = dict(params, sigma_phi_rad=scenario.sigma_phi(), report=asdict(report))
     return _finish(args, params, doc, output_dir=config.output_dir)
 
 
@@ -371,7 +385,7 @@ def _cmd_sweep(args) -> int:
                 float(sep),
                 scenario.snr_db,
                 crlb_result(zeta_f2, scenario.snr_db, args.two_way).std_range,
-                delay_to_range(report.rmse_tau, args.two_way),
+                _rmse_range(report, args.two_way),
                 report.crlb_ratio,
                 report.failures,
             ))

@@ -25,7 +25,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import MISSING, asdict, astuple, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -53,11 +53,13 @@ def fmt_float(x) -> str:
 
 
 def _write_csv(path, header: str, rows) -> None:
-    """Write ``header`` and one line per row; ints via str, floats via fmt_float."""
+    """Write ``header`` and one line per row; ints via str, floats via
+    fmt_float, and None, an undefined statistic, as ``nan``."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            cells = (str(v) if isinstance(v, (int, np.integer)) else fmt_float(v) for v in row)
+            cells = ("nan" if v is None else str(v) if isinstance(v, (int, np.integer))
+                     else fmt_float(v) for v in row)
             fh.write(",".join(cells) + "\n")
 
 
@@ -406,24 +408,28 @@ def write_manifest(output_path, command, parameters, input_paths=(), extra_outpu
     return path
 
 
+def _non_finite(value, path=""):
+    """(key path, value) of each non-finite float in the JSON document ``value``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path.lstrip("."), value
+    elif isinstance(value, (dict, list, tuple)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _non_finite(item, f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}")
+
+
+def json_text(doc) -> str:
+    """``doc`` as indented JSON; a NaN or Infinity, which JSON does not
+    allow, raises a ValueError naming its key path, e.g. ``stats.mean_x0_m``."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        for path, value in _non_finite(doc):
+            raise ValueError(f"field {path} is {value!r}, which JSON cannot hold") from None
+        raise
+
+
 def dump_json(doc, path) -> None:
-    """Write ``doc`` as JSON; a NaN or Infinity raises before the file is opened."""
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    """Write ``doc`` as :func:`json_text`, which raises before the file is opened."""
+    text = json_text(doc)
     with open(path, "w") as fh:
         fh.write(text + "\n")
-
-
-def finite_or_none(value):
-    """``None`` for a non-finite float (JSON has no NaN or Infinity), else ``value``."""
-    return None if isinstance(value, float) and not np.isfinite(value) else value
-
-
-def report_dict(obj) -> dict:
-    """Dataclass report -> plain dict with JSON-safe scalars; a non-finite
-    float becomes ``None``."""
-    out = {}
-    for key, value in asdict(obj).items():
-        if isinstance(value, (np.floating, np.integer)):
-            value = value.item()
-        out[key] = finite_or_none(value)
-    return out

@@ -111,10 +111,13 @@ class CrlbResult:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
+    """``rmse_tau``, ``bias_tau`` and ``crlb_ratio`` are None when every trial
+    failed; ``crlb_ratio`` is also None when the bound is 0 (``snr_db = inf``)."""
+
     trials: int
-    rmse_tau: float  # s, over non-failed trials
-    bias_tau: float  # s, over non-failed trials
-    crlb_ratio: float  # rmse^2 / CRLB variance
+    rmse_tau: float | None  # s, over non-failed trials
+    bias_tau: float | None  # s, over non-failed trials
+    crlb_ratio: float | None  # rmse^2 / CRLB variance
     failures: int  # trials with |error| > half the ambiguity spacing
 
 
@@ -366,9 +369,9 @@ def _report(trials: int, failures: int, err_sum: float, err2_sum: float,
     """Summary of one scenario against its variance bound, from its failure
     count and the sum and sum of squares of the other trials' delay errors."""
     ok = trials - failures
-    rmse = float(np.sqrt(err2_sum / ok)) if ok > 0 else float("nan")
-    bias = float(err_sum / ok) if ok > 0 else float("nan")
-    ratio = rmse**2 / bound if bound > 0 else float("inf")
+    rmse = float(np.sqrt(err2_sum / ok)) if ok > 0 else None
+    bias = float(err_sum / ok) if ok > 0 else None
+    ratio = rmse**2 / bound if rmse is not None and bound > 0 else None
     return MonteCarloReport(
         trials=trials,
         rmse_tau=rmse,

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from rangekit.antenna_metrics import write_touchstone
 from rangekit.cli import build_parser, dispatch, parse_grid, parse_region
 from rangekit.fileio import BANDS_HEADER, manifest_path_for, save_farfield_cuts
 from rangekit.geometry import load_dimensions, reference_dimensions, save_dimensions, validate
-from rangekit.phase_center import FarFieldCut, point_source_cut
+from rangekit.phase_center import FarFieldCut, displacement_stats, point_source_cut
 
 THETA = np.arange(-60.0, 61.0)
 
@@ -230,6 +231,18 @@ def test_short_record_exits_1(capsys):
         "",
         "rangekit: error: a 1e-09 s record at 1e+09 Hz holds 1 sample(s); at least 2 are needed\n",
     )
+
+
+@pytest.mark.parametrize("separation", ["5e5", "1e-300"])
+def test_separation_below_record_resolution_exits_1(tmp_path, capsys, separation):
+    # a 1 us record resolves tones 1 MHz apart; closer ones have no
+    # discrete spectrum of their own
+    argv = ["waveform", "--separation", separation, "--duration", "1e-6", "--sample-rate", "4e9",
+            "--out", str(tmp_path / "spec.csv")]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr() == ("", f"rangekit: error: tone separation {float(separation):g} Hz "
+                                       "is below the 1e+06 Hz resolution of a 1e-06 s record\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def assert_one_error_line(capsys):
@@ -811,6 +824,41 @@ def test_sweep_validates_every_cell_before_simulating(tmp_path, capsys, monkeypa
     assert dispatch(argv) == 1
     assert_one_error_line(capsys)
     assert not out.exists()
+
+
+def test_coherence_grid_validates_every_point_before_simulating(tmp_path, capsys, monkeypatch):
+    # 2*pi*sigma overflows from the 7th point (3e307 m) on; the 6 before it may not run first
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before validating the grid")
+
+    monkeypatch.setattr(rangekit.beamform, "coherent_gain", no_simulation)
+    out = tmp_path / "grid.csv"
+    argv = ["coherence", "--nodes", "10", "--f-action", "1", "--sigma-range", "0.01",
+            "--sigma-grid", "0:5e306:1.7e308", "--out", str(out)]
+    assert dispatch(argv) == 1
+    assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_non_finite_report_value_exits_1_naming_the_field(tmp_path, capsys, monkeypatch):
+    # a producer fault reaches no report: no stdout, no --out file, no manifest
+    def faulty_stats(series):
+        return replace(displacement_stats(series), mean_x0_m=float("inf"))
+
+    monkeypatch.setattr(rangekit.cli, "displacement_stats", faulty_stats)
+    cuts = []
+    for name, freq in (("a.csv", 1.88e9), ("b.csv", 9.56e9)):
+        cuts += ["--cut", str(tmp_path / name)]
+        save_farfield_cuts(point_source_cut(0.0, 0.0, freq, THETA), tmp_path / name)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    # quiet, the stats JSON is encoded before the series CSV is written
+    for out in ([], ["--out", str(out_dir / "pc.csv")], ["-q", "--out", str(out_dir / "pc.csv")]):
+        assert dispatch(["phase-center", *cuts, *out]) == 1
+        assert capsys.readouterr() == (
+            "", "rangekit: error: field stats.mean_x0_m is inf, which JSON cannot hold\n"
+        )
+    assert list(out_dir.iterdir()) == []
 
 
 def test_missing_input_exits_2(tmp_path, capsys):

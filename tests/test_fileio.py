@@ -22,7 +22,6 @@ from rangekit.fileio import (
     load_scenario,
     manifest_path_for,
     parse_scenario,
-    report_dict,
     save_farfield_cuts,
     sha256_of,
     write_bands_csv,
@@ -33,7 +32,6 @@ from rangekit.fileio import (
     write_sweep_csv,
 )
 from rangekit.phase_center import DisplacementSeries, FarFieldCut
-from rangekit.ranging import MonteCarloReport
 from rangekit.waveform import SpectrumModel
 
 
@@ -404,18 +402,6 @@ def test_manifest_contents(tmp_path):
     doc.pop("created_utc")
     doc2.pop("created_utc")
     assert doc == doc2
-
-
-def test_report_dict_json_safe():
-    report = MonteCarloReport(np.int64(200), np.float64(1e-12), 1e-13, np.float64(1.2), np.int64(3))
-    doc = report_dict(report)
-    assert type(doc["rmse_tau"]) is float
-    assert type(doc["trials"]) is int and type(doc["failures"]) is int
-    json.dumps(doc)  # must serialize without a custom encoder
-    nan_report = MonteCarloReport(200, float("nan"), 0.0, np.float64(np.inf), 200)
-    doc = report_dict(nan_report)
-    assert doc["rmse_tau"] is None and doc["crlb_ratio"] is None
-    assert doc["failures"] == 200
 
 
 def test_dump_json_rejects_non_finite(tmp_path):

@@ -3,7 +3,8 @@ what a plain reference reader gives, or is rejected with ValueError (exit 1
 and one error line through the CLI).  Touchstone files are also read by a
 two-pass reference reader, which must give the same trace or the same error
 text.  Scenario JSON goes through the CLI only: exit 0 with finite outputs,
-or exit 1 with one error line."""
+or exit 1 with one error line.  A report that exits 0 may hold null only in
+a field whose statistic is undefined (NULLABLE)."""
 
 import csv
 import io
@@ -237,10 +238,42 @@ def reject_constant(name):
     raise AssertionError(f"non-finite {name} in a report")
 
 
+# the report fields that are null where their statistic is undefined: the
+# Monte Carlo's when every trial failed (and crlb_ratio at a zero bound), and
+# the flat-spectrum ratio of a single tone, which has no separation
+NULLABLE = {"monte_carlo.rmse_tau", "monte_carlo.bias_tau", "monte_carlo.crlb_ratio",
+            "mc_rmse_range_m", "ratio_vs_flat_spectrum"}
+
+
+def null_paths(value, path=""):
+    """Key paths of every null in a decoded JSON value."""
+    if value is None:
+        return [path]
+    if isinstance(value, dict):
+        return [p for k, v in value.items() for p in null_paths(v, f"{path}.{k}" if path else k)]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in null_paths(v, f"{path}[{i}]")]
+    return []
+
+
 def assert_finite_report(text):
-    """Every number in the JSON report ``text`` is finite."""
+    """Every number in the JSON report ``text`` is finite, and only a
+    NULLABLE field is null."""
     assert text
-    json.loads(text, parse_constant=reject_constant)
+    doc = json.loads(text, parse_constant=reject_constant)
+    assert set(null_paths(doc)) <= NULLABLE, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=farfield_texts(), command=st.sampled_from([
+    ["gain-stats"], ["gain-stats", "--linear-mean"], ["phase-center"]]))
+def test_farfield_through_cli_exits_cleanly(tmp_path_factory, text, command):
+    path = tmp_path_factory.getbasetemp() / "fuzz_cli_farfield.csv"
+    path.write_bytes(text.encode())
+    cuts = ["--cut", str(path)] * (2 if command[0] == "phase-center" else 1)
+    code, out = run_clean([*command, *cuts])
+    if code == 0:
+        assert_finite_report(out)
 
 
 # Touchstone option lines, each with the S11 values its format takes; damage
@@ -476,7 +509,7 @@ def scenario_docs(draw):
 @example(doc={"beamform": {"n_nodes": 2, "f_action_hz": 2**64, "sigma_range_m": 1e300}},
          command="coherence")  # sigma_phi overflows
 @example(doc={"waveform": {"duration_s": 1e-6, "sample_rate_hz": 4e9, "separation_hz": 1e-300}},
-         command="waveform")  # the flat-spectrum bandwidth underflows to 0
+         command="waveform")  # a separation far below the record's resolution
 @example(doc={"waveform": {"duration_s": 1e-150, "sample_rate_hz": 1e155, "separation_hz": 1e9}},
          command="waveform")  # sample_rate**2 overflows
 def test_scenario_through_cli_exits_cleanly(tmp_path_factory, doc, command):

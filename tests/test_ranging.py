@@ -1,6 +1,7 @@
 """Time-of-arrival bound and Monte Carlo estimator tests."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,6 +262,22 @@ def test_monte_carlo_failures_reported_separately():
     rep = monte_carlo(sc, 200)
     assert rep.failures > 0
     assert rep.rmse_tau <= 1.0 / (2.0 * 5e8)
+
+
+def test_report_is_none_where_a_statistic_is_undefined():
+    # 1.99 ns sits 0.01 ns below the 2 ns window's end, so at 300 dB every
+    # estimate aliases to lag 0 and fails, leaving no error to average
+    sc = RangingScenario(ToneSet.two_tone(5e8), 300.0, 1.99e-9, False, 4e9, 1e-6)
+    rep = monte_carlo(sc, 100)
+    assert (rep.rmse_tau, rep.bias_tau, rep.crlb_ratio, rep.failures) == (None, None, None, 100)
+    # at snr_db = inf the bound is 0: only the ratio is undefined
+    rep = monte_carlo(replace(sc, snr_db=np.inf, true_delay=0.6e-9), 3)
+    assert rep.failures == 0 and rep.crlb_ratio is None
+    assert type(rep.rmse_tau) is float and type(rep.bias_tau) is float
+    # one trial left defines every statistic
+    rep = ranging._report(4, 3, 2e-12, 4e-24, 1e-24)
+    assert rep.bias_tau == 2e-12
+    assert (rep.rmse_tau, rep.crlb_ratio) == (pytest.approx(2e-12), pytest.approx(4.0))
 
 
 def test_monte_carlo_deterministic_across_workers():
